@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPoly
-from .moves import KINDS, apply_move, enumerate_moves
+from .moves import KINDS, apply_move, enumerate_moves, walk
 
 
 def _resolve(text: str) -> Diagram:
@@ -52,7 +52,12 @@ def _parse_inv_spec(token: str, args) -> tuple[str, dict]:
         if not token.endswith(")"):
             raise PreconditionError(f"malformed invariant spec {token!r}")
         name, rest = token[:-1].split("(", 1)
-        values = [int(v) for v in rest.split(",")] if rest else []
+        try:
+            values = [int(v) for v in rest.split(",")] if rest else []
+        except ValueError:
+            raise PreconditionError(
+                f"parameters of {token!r} must be integers"
+            ) from None
         spec = inv.REGISTRY.get(name)
         if spec is None:
             raise PreconditionError(f"unknown invariant {name!r}")
@@ -193,36 +198,21 @@ def cmd_move(args) -> int:
 def cmd_verify(args) -> int:
     d = _resolve(args.input)
     todo = _inv_list(args.inv, d, args)
-    baseline = {}
-    for name, params in todo:
-        baseline[(name, tuple(sorted(params.items())))] = inv.comparable_invariant(
-            name, d, params, args.depth, args.window
-        )
-    import random as _random
-
-    rng = _random.Random(args.seed)
-    cur = d
-    failures = {}
-    for step in range(1, args.steps + 1):
-        budget = args.max_crossings - cur.n_crossings
-        sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
-        if not sites:
-            break
-        cur = apply_move(cur, sites[rng.randrange(len(sites))])
-        for name, params in todo:
-            key = (name, tuple(sorted(params.items())))
-            if key in failures:
-                continue
-            got = inv.comparable_invariant(name, cur, params, args.depth, args.window)
-            if got != baseline[key]:
-                failures[key] = step
+    baseline = [inv.comparable_invariant(name, d, params, args.depth, args.window)
+                for name, params in todo]
+    failures: dict[int, int] = {}  # index into todo -> first failing step
+    steps = walk(d, args.steps, args.seed, args.max_crossings)
+    for step, cur in enumerate(steps, start=1):
+        for k, (name, params) in enumerate(todo):
+            if k not in failures and baseline[k] != inv.comparable_invariant(
+                    name, cur, params, args.depth, args.window):
+                failures[k] = step
     print(f"verify steps={args.steps} seed={args.seed} "
           f"max-crossings={args.max_crossings}")
-    for name, params in todo:
-        key = (name, tuple(sorted(params.items())))
+    for k, (name, params) in enumerate(todo):
         label = _fmt_spec(name, params)
-        if key in failures:
-            print(f"FAIL {label} at step {failures[key]}")
+        if k in failures:
+            print(f"FAIL {label} at step {failures[k]}")
         else:
             print(f"PASS {label}")
     verdict = "FAIL" if failures else "PASS"
@@ -258,7 +248,10 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    entries = load_catalog(args.catalog)
+    try:
+        entries = load_catalog(args.catalog)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GaussCodeError(f"cannot read catalog: {exc}") from None
     results = []
     for entry in entries:
         d = entry.diagram()

@@ -16,12 +16,20 @@ Text grammar (whitespace ignored)::
 ``"O1+U2+O3-U1+O2+U3-"``.
 
 All values here are immutable; every operation returns a new Diagram.
+
+A Diagram builds its crossing table once, in the single validating pass of
+its constructor: crossing id -> ``(over component, over position, under
+component, under position, sign)``, positions 0-based.  Every per-crossing
+query (``sign``, ``passage_positions``, ``components_of``,
+``is_self_crossing``, ``crossing_ids``) reads that table in O(1) instead of
+scanning the code.  The hash of the components is computed once, on first
+use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import GaussCodeError, PreconditionError, ValidationError
@@ -43,7 +51,7 @@ OVER = "O"
 UNDER = "U"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Passage:
     """One visit of a strand to a classical crossing."""
 
@@ -74,14 +82,46 @@ class Passage:
 Component = tuple  # tuple[Passage, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """An ordered oriented virtual link as a signed multi-component Gauss code."""
 
     components: tuple[Component, ...]
+    _table: dict = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self.components)
+        table: dict[int, tuple[int, int, int, int, int]] = {}
+        unpaired: dict[int, tuple[int, int, Passage]] = {}
+        for ci, comp in enumerate(self.components):
+            for pi, p in enumerate(comp):
+                first = unpaired.pop(p.crossing, None)
+                if first is None:
+                    if p.crossing in table:
+                        _reject(self.components)
+                    unpaired[p.crossing] = (ci, pi, p)
+                    continue
+                ac, ai, a = first
+                if a.strand == p.strand or a.sign != p.sign:
+                    _reject(self.components)
+                table[p.crossing] = (
+                    (ac, ai, ci, pi, p.sign) if a.strand == OVER else (ci, pi, ac, ai, p.sign)
+                )
+        if unpaired:
+            _reject(self.components)
+        object.__setattr__(self, "_table", table)
+
+    def __hash__(self) -> int:
+        # Computed on first use (many diagrams are never hashed), then kept.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.components))
+        return self._hash
+
+    def _row(self, crossing: int) -> tuple[int, int, int, int, int]:
+        row = self._table.get(crossing)
+        if row is None:
+            raise PreconditionError(f"unknown crossing id {crossing}")
+        return row
 
     # -- basic queries -------------------------------------------------
 
@@ -90,52 +130,36 @@ class Diagram:
         return len(self.components)
 
     def crossing_ids(self) -> tuple[int, ...]:
-        seen = []
-        for comp in self.components:
-            for p in comp:
-                if p.crossing not in seen:
-                    seen.append(p.crossing)
-        return tuple(sorted(seen))
+        return tuple(sorted(self._table))
 
     @property
     def n_crossings(self) -> int:
-        return sum(len(c) for c in self.components) // 2
+        return len(self._table)
 
     def sign(self, crossing: int) -> int:
-        for comp in self.components:
-            for p in comp:
-                if p.crossing == crossing:
-                    return p.sign
-        raise PreconditionError(f"unknown crossing id {crossing}")
+        return self._row(crossing)[4]
 
     def passage_positions(self, crossing: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Positions ``(component, index)`` of the over and under passage."""
-        over = under = None
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp):
-                if p.crossing == crossing:
-                    if p.over:
-                        over = (ci, pi)
-                    else:
-                        under = (ci, pi)
-        if over is None or under is None:
-            raise PreconditionError(f"unknown crossing id {crossing}")
-        return over, under
+        oc, oi, uc, ui, _ = self._row(crossing)
+        return (oc, oi), (uc, ui)
 
     def components_of(self, crossing: int) -> tuple[int, int]:
         """0-based components of the over and under passage of a crossing."""
-        (oc, _), (uc, _) = self.passage_positions(crossing)
+        oc, _, uc, _, _ = self._row(crossing)
         return oc, uc
 
     def is_self_crossing(self, crossing: int) -> bool:
-        oc, uc = self.components_of(crossing)
+        oc, _, uc, _, _ = self._row(crossing)
         return oc == uc
 
     def __str__(self) -> str:
         return serialize(self)
 
 
-def _validate(components: Iterable[Component]) -> None:
+def _reject(components: tuple[Component, ...]) -> None:
+    """Raise the ValidationError of an invalid code, naming the faulty
+    crossing met first along the code."""
     seen: dict[int, list[Passage]] = {}
     for comp in components:
         for p in comp:
@@ -146,15 +170,10 @@ def _validate(components: Iterable[Component]) -> None:
                 f"crossing {cid} occurs {len(passages)} time(s), expected 2"
             )
         a, b = passages
-        if {a.strand, b.strand} != {OVER, UNDER}:
+        if a.strand == b.strand:
             raise ValidationError(f"crossing {cid} is not once over and once under")
         if a.sign != b.sign:
             raise ValidationError(f"crossing {cid} has mismatched signs")
-
-
-def diagram(components: Iterable[Iterable[Passage]]) -> Diagram:
-    """Build a validated Diagram from nested iterables."""
-    return Diagram(tuple(tuple(c) for c in components))
 
 
 # -- parsing and serialization ----------------------------------------
@@ -245,11 +264,10 @@ def reverse_component(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.n_components:
         raise PreconditionError(f"component index {i} out of range 1..{d.n_components}")
     target = i - 1
-    flips = set()
-    for cid in d.crossing_ids():
-        oc, uc = d.components_of(cid)
-        if (oc == target) != (uc == target):
-            flips.add(cid)
+    flips = {
+        cid for cid, (oc, _, uc, _, _) in d._table.items()
+        if (oc == target) != (uc == target)
+    }
     new_components = []
     for ci, comp in enumerate(d.components):
         seq = tuple(reversed(comp)) if ci == target else comp

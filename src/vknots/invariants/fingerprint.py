@@ -85,7 +85,6 @@ def _pair_vector(d: Diagram, window: int) -> tuple:
     return ("span", lk.span, "fspan", fs)
 
 
-@lru_cache(maxsize=65536)
 def kink_class_fingerprints(d: Diagram, i: int, depth: int,
                             window: int) -> frozenset:
     """Fingerprints of the two classes a kink smoothing on component i can

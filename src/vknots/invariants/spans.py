@@ -16,10 +16,10 @@ from functools import lru_cache
 from ..diagram import Diagram
 from ..errors import PreconditionError
 from ..labeling import index_map
-from ..laurent import LaurentPoly, monomial, zero
+from ..laurent import LaurentPoly
 from ..smoothing import smooth1, smooth2, smooth3
 from .weights import WeightFn
-from .writhes import dwrithe
+from .writhes import crossing_poly, dwrithe
 
 __all__ = [
     "LinkingNumbers",
@@ -132,15 +132,10 @@ def tilde_f(d: Diagram, n: int, k: int, m: int) -> LaurentPoly:
             f"(got {d.n_components} components)"
         )
     base = dwrithe(d, n)
-    inds = index_map(d)
-    p = zero(FTILDE_VARS)
-    for c, ind in inds.items():
-        s = d.sign(c)
+    rows = []
+    for c, ind in index_map(d).items():
         e1 = dwrithe(smooth1(d, c), n)
         fs = fspan_nk(smooth2(d, c), k, m)
-        p = p + monomial(s, (ind, e1, fs), FTILDE_VARS)
-        if e1 in (base, -base) and fs == 0:
-            p = p + monomial(-s, (0, e1, fs), FTILDE_VARS)
-        else:
-            p = p + monomial(-s, (0, base, fs), FTILDE_VARS)
-    return p
+        in_t = e1 in (base, -base) and fs == 0
+        rows.append((d.sign(c), ind, (e1, fs), (e1 if in_t else base, fs)))
+    return crossing_poly(FTILDE_VARS, rows)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from ..diagram import Diagram
 from ..errors import PreconditionError
 from ..labeling import index_map
-from ..laurent import LaurentPoly, monomial, zero
+from ..laurent import LaurentPoly
 from ..smoothing import smooth1
 
 __all__ = [
@@ -42,6 +42,17 @@ def _require_knot(d: Diagram, what: str) -> None:
         )
 
 
+def crossing_poly(variables: tuple[str, ...], rows) -> LaurentPoly:
+    """Sum of ``s*t^ind*L^e - s*L^r`` over rows ``(s, ind, e, r)``, where t
+    is the first variable and L stands for the remaining ones, with ``e``
+    and ``r`` their exponent tuples; built once from a dict."""
+    acc: dict[tuple[int, ...], int] = {}
+    for s, ind, e, r in rows:
+        for exps, coef in (((ind, *e), s), ((0, *r), -s)):
+            acc[exps] = acc.get(exps, 0) + coef
+    return LaurentPoly.from_dict(variables, acc)
+
+
 def writhe_n(d: Diagram, n: int) -> int:
     """n-th writhe: signed count of crossings with index n (n != 0)."""
     _require_knot(d, "the n-th writhe")
@@ -63,11 +74,9 @@ def dwrithe(d: Diagram, n: int) -> int:
 def affine_index_poly(d: Diagram) -> LaurentPoly:
     """Sum of sign(c) * (t^index(c) - 1) over classical crossings."""
     _require_knot(d, "the affine index polynomial")
-    p = zero(AIP_VARS)
-    for c, ind in index_map(d).items():
-        s = d.sign(c)
-        p = p + monomial(s, (ind,), AIP_VARS) + monomial(-s, (0,), AIP_VARS)
-    return p
+    return crossing_poly(
+        AIP_VARS, ((d.sign(c), ind, (), ()) for c, ind in index_map(d).items())
+    )
 
 
 def smoothed_dwrithe(d: Diagram, crossing: int, n: int) -> int:
@@ -86,17 +95,11 @@ def f_poly(d: Diagram, n: int) -> LaurentPoly:
     if n <= 0:
         raise PreconditionError("the F-polynomial requires n > 0")
     base = dwrithe(d, n)
-    inds = index_map(d)
-    p = zero(FPOLY_VARS)
-    for c, ind in inds.items():
-        s = d.sign(c)
+    rows = []
+    for c, ind in index_map(d).items():
         sd = smoothed_dwrithe(d, c, n)
-        p = p + monomial(s, (ind, sd), FPOLY_VARS)
-        if sd in (base, -base):
-            p = p + monomial(-s, (0, sd), FPOLY_VARS)
-        else:
-            p = p + monomial(-s, (0, base), FPOLY_VARS)
-    return p
+        rows.append((d.sign(c), ind, (sd,), (sd,) if sd in (base, -base) else (base,)))
+    return crossing_poly(FPOLY_VARS, rows)
 
 
 def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
@@ -131,16 +134,10 @@ def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:
     _require_knot(d, "the generalized F-polynomial")
     base1 = dwrithe(d, n)
     base2 = dwrithe_nm(d, m, k)
-    inds = index_map(d)
-    p = zero(FNMK_VARS)
-    for c, ind in inds.items():
-        s = d.sign(c)
+    rows = []
+    for c, ind in index_map(d).items():
         dc = smooth1(d, c)
-        e1 = dwrithe(dc, n)
-        e2 = dwrithe_nm(dc, m, k)
-        p = p + monomial(s, (ind, e1, e2), FNMK_VARS)
-        if e1 in (base1, -base1) and e2 in (base2, -base2):
-            p = p + monomial(-s, (0, e1, e2), FNMK_VARS)
-        else:
-            p = p + monomial(-s, (0, base1, base2), FNMK_VARS)
-    return p
+        e = (dwrithe(dc, n), dwrithe_nm(dc, m, k))
+        in_t = e[0] in (base1, -base1) and e[1] in (base2, -base2)
+        rows.append((d.sign(c), ind, e, e if in_t else (base1, base2)))
+    return crossing_poly(FNMK_VARS, rows)

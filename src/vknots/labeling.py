@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .diagram import Diagram
 from .errors import InconsistentLabelingError, PreconditionError
@@ -50,7 +52,20 @@ class ArcLabeling:
         return tuple(v for (c, _), v in self.labels if c == component)
 
 
-@lru_cache(maxsize=65536)
+def _component_labels(d: Diagram) -> list[list[int]]:
+    """Per component, the label of the arc entering each passage; a
+    crossing-free component gets the single label 0."""
+    out = []
+    for ci, comp in enumerate(d.components):
+        labels = [0]
+        for p in comp:
+            labels.append(labels[-1] + _step(p))
+        if labels.pop() != 0:
+            raise InconsistentLabelingError(ci + 1)
+        out.append(labels or [0])
+    return out
+
+
 def arc_labeling(d: Diagram) -> ArcLabeling:
     """Compute the arc labeling, base label 0 on each component's first arc.
 
@@ -58,18 +73,11 @@ def arc_labeling(d: Diagram) -> ArcLabeling:
     InconsistentLabelingError naming the first offending component (possible
     only for multi-component diagrams).
     """
-    labels: list[tuple[tuple[int, int], int]] = []
-    for ci, comp in enumerate(d.components):
-        if not comp:
-            labels.append(((ci, 0), 0))
-            continue
-        if sum(_step(p) for p in comp) != 0:
-            raise InconsistentLabelingError(ci + 1)
-        cur = 0
-        for pi, p in enumerate(comp):
-            labels.append(((ci, pi), cur))
-            cur += _step(p)
-    return ArcLabeling(tuple(labels))
+    return ArcLabeling(tuple(
+        ((ci, pi), v)
+        for ci, labels in enumerate(_component_labels(d))
+        for pi, v in enumerate(labels)
+    ))
 
 
 def crossing_sign(d: Diagram, crossing: int) -> int:
@@ -78,21 +86,20 @@ def crossing_sign(d: Diagram, crossing: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def index_map(d: Diagram) -> dict[int, int]:
-    """Index of every crossing of a one-component diagram."""
+def index_map(d: Diagram) -> Mapping[int, int]:
+    """Index of every crossing of a one-component diagram, as a read-only
+    view (the memoised value is shared by every caller)."""
     if d.n_components != 1:
         raise PreconditionError(
             "crossing index is defined for knot diagrams only "
             f"(got {d.n_components} components)"
         )
-    labels = arc_labeling(d).as_dict()
+    (labels,) = _component_labels(d)
     out = {}
     for cid in d.crossing_ids():
-        (oc, oi), (uc, ui) = d.passage_positions(cid)
-        o = labels[(oc, oi)]
-        u = labels[(uc, ui)]
-        out[cid] = o - u - d.sign(cid)
-    return out
+        (_, oi), (_, ui) = d.passage_positions(cid)
+        out[cid] = labels[oi] - labels[ui] - d.sign(cid)
+    return MappingProxyType(out)
 
 
 def crossing_index(d: Diagram, crossing: int) -> int:

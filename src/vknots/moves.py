@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 from .diagram import OVER, UNDER, Diagram, Passage
 from .errors import PreconditionError, StaleMoveError
 
-__all__ = ["MoveSite", "enumerate_moves", "apply_move", "random_walk", "KINDS"]
+__all__ = ["MoveSite", "enumerate_moves", "apply_move", "walk", "random_walk", "KINDS"]
 
 KINDS = ("R1-delete", "R2-delete", "R3", "R1-insert", "R2-insert")
+_CROSSING_DELTA = {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1,
+                   "R2-delete": -2, "R3": 0}
 
 # Realizable (bitT, bitM, bitB, sTM, sTB, sMB) triangle configurations, where
 # bitX records whether run X meets its crossing with the next-lower run before
@@ -74,8 +76,7 @@ class MoveSite:
 
     @property
     def crossing_delta(self) -> int:
-        return {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1,
-                "R2-delete": -2, "R3": 0}[self.kind]
+        return _CROSSING_DELTA[self.kind]
 
 
 def _adjacent_pairs(d: Diagram):
@@ -137,17 +138,26 @@ def _runs_hierarchy(runs):
     return t, m, b
 
 
+def _run(d: Diagram, ci: int, pos: int):
+    """Record of the strand run through positions pos and pos+1 of component
+    ci, or None if both passages belong to one crossing (a kink)."""
+    comp = d.components[ci]
+    nxt = (pos + 1) % len(comp)
+    p, q = comp[pos], comp[nxt]
+    if p.crossing == q.crossing:
+        return None
+    return {
+        "loc": (ci, pos),
+        "span": frozenset(((ci, pos), (ci, nxt))),
+        "chords": frozenset((p.crossing, q.crossing)),
+        "flag": {p.crossing: p.strand, q.crossing: q.strand},
+        "order": (p.crossing, q.crossing),
+    }
+
+
 def _r3_sites(d: Diagram):
-    runs = []
-    for ci, pos, p, q in _adjacent_pairs(d):
-        if p.crossing != q.crossing:
-            runs.append({
-                "loc": (ci, pos),
-                "span": frozenset(((ci, pos), (ci, (pos + 1) % len(d.components[ci])))),
-                "chords": frozenset((p.crossing, q.crossing)),
-                "flag": {p.crossing: p.strand, q.crossing: q.strand},
-                "order": (p.crossing, q.crossing),
-            })
+    runs = [r for ci, pos, _, _ in _adjacent_pairs(d)
+            if (r := _run(d, ci, pos)) is not None]
     seen = set()
     n = len(runs)
     for i in range(n):
@@ -270,17 +280,10 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     if m.kind == "R3":
         trio = []
         for ci, pos in m.location:
-            comp = comps[ci]
-            p, q = comp[pos], comp[(pos + 1) % len(comp)]
-            if p.crossing == q.crossing:
+            run = _run(d, ci, pos)
+            if run is None:
                 raise StaleMoveError(f"no R3 run at {(ci, pos)}")
-            trio.append({
-                "loc": (ci, pos),
-                "span": frozenset(((ci, pos), (ci, (pos + 1) % len(comp)))),
-                "chords": frozenset((p.crossing, q.crossing)),
-                "flag": {p.crossing: p.strand, q.crossing: q.strand},
-                "order": (p.crossing, q.crossing),
-            })
+            trio.append(run)
         if _r3_pattern(d, tuple(trio)) is None:
             raise StaleMoveError(f"no legal R3 triangle at {m.location}")
         for ci, pos in m.location:
@@ -329,8 +332,9 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     raise PreconditionError(f"unknown move kind {m.kind!r}")
 
 
-def random_walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12) -> Diagram:
-    """Deterministic random move sequence; stalls early if nothing fits."""
+def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
+    """Deterministic random move sequence: yields the diagram after each
+    step, and stops early if no move fits under ``max_crossings``."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     rng = random.Random(seed)
@@ -339,6 +343,14 @@ def random_walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12) -> D
         budget = max_crossings - cur.n_crossings
         sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
         if not sites:
-            break
+            return
         cur = apply_move(cur, sites[rng.randrange(len(sites))])
+        yield cur
+
+
+def random_walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12) -> Diagram:
+    """The last diagram of ``walk``: where the move sequence ends."""
+    cur = d
+    for cur in walk(d, steps, seed, max_crossings):
+        pass
     return cur

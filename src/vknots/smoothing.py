@@ -31,43 +31,25 @@ from .errors import PreconditionError
 __all__ = ["smooth1", "smooth2", "smooth3"]
 
 
-def _flip_signs(component, flips):
-    return tuple(
-        Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
-        for p in component
-    )
+def _after(comp, i):
+    """The cyclic sequence of ``comp`` following position ``i``, without it."""
+    return comp[i + 1:] + comp[:i]
 
 
-def _split_at(comp, crossing):
-    """Segments strictly between the passages of ``crossing``.
-
-    Returns (X, Y): X follows the over passage up to the under passage,
-    Y follows the under passage back around to the over passage.
-    """
-    n = len(comp)
-    i_over = next(i for i, p in enumerate(comp) if p.crossing == crossing and p.over)
-    i_under = next(i for i, p in enumerate(comp) if p.crossing == crossing and not p.over)
-    x = []
-    k = (i_over + 1) % n
-    while k != i_under:
-        x.append(comp[k])
-        k = (k + 1) % n
-    y = []
-    k = (i_under + 1) % n
-    while k != i_over:
-        y.append(comp[k])
-        k = (k + 1) % n
-    return tuple(x), tuple(y)
-
-
-def _self_crossing_component(d: Diagram, crossing: int, op: str) -> int:
-    oc, uc = d.components_of(crossing)
+def _split_self(d: Diagram, crossing: int, op: str):
+    """Component of a self-crossing and the segments strictly between its
+    passages: (ci, X, Y), where X follows the over passage up to the under
+    passage and Y follows the under passage back around to the over one."""
+    (oc, oi), (uc, ui) = d.passage_positions(crossing)
     if oc != uc:
         raise PreconditionError(
             f"{op} requires a self-crossing; crossing {crossing} joins "
             f"components {oc + 1} and {uc + 1}"
         )
-    return oc
+    comp = d.components[oc]
+    rest = _after(comp, oi)
+    k = (ui - oi - 1) % len(comp)
+    return oc, rest[:k], rest[k + 1:]
 
 
 def _one_sided(x_segment) -> set[int]:
@@ -79,7 +61,11 @@ def _one_sided(x_segment) -> set[int]:
 
 
 def _apply_flips(components, flips) -> tuple:
-    return tuple(_flip_signs(comp, flips) for comp in components)
+    return tuple(
+        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
+              for p in comp)
+        for comp in components
+    )
 
 
 @lru_cache(maxsize=65536)
@@ -90,25 +76,20 @@ def smooth1(d: Diagram, crossing: int) -> Diagram:
     opposite choice flips the orientation of the result and is rejected by
     the golden three-variable span polynomials of the VK family.
     """
-    ci = _self_crossing_component(d, crossing, "type-1 smoothing")
-    comp = d.components[ci]
-    x, y = _split_at(comp, crossing)
+    ci, x, y = _split_self(d, crossing, "type-1 smoothing")
     flips = _one_sided(y)
     comps = list(d.components)
     comps[ci] = x + tuple(reversed(y))
     return Diagram(_apply_flips(comps, flips))
 
 
-@lru_cache(maxsize=65536)
 def smooth2(d: Diagram, crossing: int) -> Diagram:
     """Type-2 smoothing: the component splits; result has one more component.
 
     The loop entered at the under-passage exit keeps its orientation and the
     old slot; the other loop is reversed and appended last.
     """
-    ci = _self_crossing_component(d, crossing, "type-2 smoothing")
-    comp = d.components[ci]
-    x, y = _split_at(comp, crossing)
+    ci, x, y = _split_self(d, crossing, "type-2 smoothing")
     flips = _one_sided(x)
     comps = list(d.components)
     comps[ci] = y
@@ -129,22 +110,11 @@ def smooth3(d: Diagram, crossing: int) -> Diagram:
             f"type-3 smoothing requires a crossing of two components; "
             f"crossing {crossing} is a self-crossing of component {oc + 1}"
         )
-    over_comp, under_comp = d.components[oc], d.components[uc]
-    s_over = tuple(
-        over_comp[(oi + 1 + k) % len(over_comp)] for k in range(len(over_comp) - 1)
-    )
-    s_under = tuple(
-        under_comp[(ui + 1 + k) % len(under_comp)] for k in range(len(under_comp) - 1)
-    )
+    s_over = _after(d.components[oc], oi)
+    s_under = _after(d.components[uc], ui)
     # Every surviving crossing with exactly one passage on the reversed
     # (under) component flips sign.
-    flips = set()
-    for cid in d.crossing_ids():
-        if cid == crossing:
-            continue
-        c_o, c_u = d.components_of(cid)
-        if (c_o == uc) != (c_u == uc):
-            flips.add(cid)
+    flips = _one_sided(s_under)
     merged = s_over + tuple(reversed(s_under))
     lo = min(oc, uc)
     comps = [c for k, c in enumerate(d.components) if k not in (oc, uc)]

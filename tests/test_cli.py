@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vknots.cli import main
 
 
@@ -145,3 +147,16 @@ def test_input_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "invariant", "--inv", "aip", str(f))
     assert code == 0
     assert out.strip() == "t - 2 + t^-1"
+
+
+@pytest.mark.parametrize("spec", ["djn(x)", "djn(1,)", "djnm(1, y)"])
+def test_invariant_bad_parameters_exit_3(capsys, spec):
+    code, _, err = run(capsys, "invariant", "--inv", spec, "VTREF")
+    assert code == 3
+    assert "must be integers" in err
+
+
+def test_batch_missing_catalog_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "batch", "--inv", "aip", str(tmp_path / "none.tsv"))
+    assert code == 2
+    assert err.startswith("input error: cannot read catalog")

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots import (
+    Diagram,
     GaussCodeError,
+    Passage,
     PreconditionError,
     ValidationError,
     crossing_change,
@@ -57,6 +59,60 @@ def test_parse_rejects_syntax(bad):
 def test_parse_rejects_invalid(bad):
     with pytest.raises(ValidationError):
         parse(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("O1+U1+O1+U1+", "crossing 1 occurs 4 time(s), expected 2"),
+    ("O1+O1+", "crossing 1 is not once over and once under"),
+    ("O1+U1-", "crossing 1 has mismatched signs"),
+    ("O1+U2+", "crossing 1 occurs 1 time(s), expected 2"),
+    # the first crossing met along the code is the one reported
+    ("O2+U2-;O1+U1+O1+", "crossing 2 has mismatched signs"),
+    ("O3+O1+U1+", "crossing 3 occurs 1 time(s), expected 2"),
+    ("U4-O4-;O2+", "crossing 2 occurs 1 time(s), expected 2"),
+])
+def test_validation_messages(bad, message):
+    with pytest.raises(ValidationError) as exc:
+        parse(bad)
+    assert str(exc.value) == message
+
+
+def _scan(d):
+    """Brute force: crossing id -> (over (comp, pos), under (comp, pos), sign)."""
+    out = {}
+    for ci, comp in enumerate(d.components):
+        for pi, p in enumerate(comp):
+            over, under, _ = out.get(p.crossing, (None, None, None))
+            if p.over:
+                over = (ci, pi)
+            else:
+                under = (ci, pi)
+            out[p.crossing] = (over, under, p.sign)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 9), st.integers(1, 4))
+def test_crossing_table_matches_scan(seed, n_chords, n_components):
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    scan = _scan(d)
+    assert d.crossing_ids() == tuple(sorted(scan))
+    assert d.n_crossings == len(scan)
+    for cid, (over, under, sign) in scan.items():
+        assert d.sign(cid) == sign
+        assert d.passage_positions(cid) == (over, under)
+        assert d.components_of(cid) == (over[0], under[0])
+        assert d.is_self_crossing(cid) == (over[0] == under[0])
+    unknown = max(scan, default=0) + 1
+    for query in (d.sign, d.passage_positions, d.components_of, d.is_self_crossing):
+        with pytest.raises(PreconditionError):
+            query(unknown)
+    twin = Diagram(tuple(
+        tuple(Passage(p.crossing, p.strand, p.sign) for p in comp)
+        for comp in d.components
+    ))
+    assert twin == d and hash(twin) == hash(d)
+    assert len({d, twin}) == 1
 
 
 def test_serialize_rotation_normalizes():

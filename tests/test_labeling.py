@@ -87,3 +87,14 @@ def test_base_shift_leaves_index_alone(vtref):
         (oc, oi), (uc, ui) = vtref.passage_positions(cid)
         ind = shifted[(oc, oi)] - shifted[(uc, ui)] - vtref.sign(cid)
         assert ind == crossing_index(vtref, cid)
+
+
+def test_index_map_is_read_only(vtref):
+    from vknots.invariants import writhe_n
+
+    m = index_map(vtref)
+    with pytest.raises(TypeError):
+        for c in m:
+            m[c] = 7
+    assert writhe_n(vtref, 1) == 1
+    assert dict(index_map(vtref)) == {1: 1, 2: -1}

@@ -122,3 +122,13 @@ def test_walk_preserves_affine_index_poly(vtref):
     expected = LaurentPoly.from_dict(AIP_VARS, {(1,): 1, (-1,): 1, (0,): -2})
     w = random_walk(vtref, 50, 7, 12)
     assert affine_index_poly(w) == expected
+
+
+def test_walk_yields_each_step_and_ends_at_random_walk(vtref):
+    from vknots.moves import walk
+
+    for seed in range(5):
+        steps = list(walk(vtref, 20, seed, 8))
+        assert 0 < len(steps) <= 20
+        assert serialize(steps[-1]) == serialize(random_walk(vtref, 20, seed, 8))
+        assert all(d.n_crossings <= 8 for d in steps)
