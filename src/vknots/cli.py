@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import invariants as inv
+from . import memo
 from .catalog import load_catalog, lookup
 from .diagram import Diagram, parse, serialize
 from .errors import (
@@ -37,11 +38,14 @@ def _resolve(text: str) -> Diagram:
     if entry is not None:
         return entry.diagram()
     if os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            lines = [
-                ln.strip() for ln in fh
-                if ln.strip() and not ln.lstrip().startswith("#")
-            ]
+        try:
+            with open(text, encoding="utf-8") as fh:
+                lines = [
+                    ln.strip() for ln in fh
+                    if ln.strip() and not ln.lstrip().startswith("#")
+                ]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GaussCodeError(f"cannot read input file: {exc}") from None
         return parse("".join(lines))
     return parse(text)
 
@@ -265,6 +269,7 @@ def cmd_batch(args) -> int:
                 continue
             row[label] = _render_value(value, args.json)
         results.append(row)
+        memo.clear()
     if args.json:
         print(json.dumps(results))
     else:
@@ -350,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # moves.walk checks --steps and --max-crossings.
+        for flag, floor in (("depth", 0), ("window", 1)):
+            if getattr(args, flag, floor) < floor:
+                raise PreconditionError(f"{flag} must be >= {floor}")
         return args.fn(args)
     except (GaussCodeError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -357,6 +366,8 @@ def main(argv=None) -> int:
     except (PreconditionError, InconsistentLabelingError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    finally:
+        memo.clear()
 
 
 if __name__ == "__main__":

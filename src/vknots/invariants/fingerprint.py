@@ -21,9 +21,9 @@ to the nested B-sum data inside fingerprints for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..diagram import Diagram, reverse_component
+from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
 from .spans import fspan_nk, linking_numbers
 from .writhes import dwrithe, dwrithe_nm
@@ -102,7 +102,7 @@ def kink_class_fingerprints(d: Diagram, i: int, depth: int,
     )
 
 
-@lru_cache(maxsize=65536)
+@memo
 def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
                 window: int = DEFAULT_WINDOW) -> Fingerprint:
     """Flat invariant vector of an ordered oriented diagram."""

@@ -11,12 +11,12 @@ to the crossings of a knot gives the three-variable polynomial family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..diagram import Diagram
 from ..errors import PreconditionError
 from ..labeling import index_map
 from ..laurent import LaurentPoly
+from ..memo import memo
 from ..smoothing import smooth1, smooth2, smooth3
 from .weights import WeightFn
 from .writhes import crossing_poly, dwrithe
@@ -73,7 +73,7 @@ def linking_numbers(d: Diagram) -> LinkingNumbers:
     return LinkingNumbers(over, under)
 
 
-@lru_cache(maxsize=65536)
+@memo
 def span_nk(d: Diagram, n: int, k: int) -> int:
     """Signed over-minus-under count over crossings whose type-3 smoothing
     has n-th difference writhe k."""

@@ -9,12 +9,11 @@ the two- and three-variable polynomial families.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..diagram import Diagram
 from ..errors import PreconditionError
 from ..labeling import index_map
 from ..laurent import LaurentPoly
+from ..memo import memo
 from ..smoothing import smooth1
 
 __all__ = [
@@ -62,7 +61,7 @@ def writhe_n(d: Diagram, n: int) -> int:
     return sum(d.sign(c) for c, i in inds.items() if i == n)
 
 
-@lru_cache(maxsize=65536)
+@memo
 def dwrithe(d: Diagram, n: int) -> int:
     """n-th difference writhe (n > 0); crossing-change invariant."""
     _require_knot(d, "the difference writhe")

@@ -23,12 +23,12 @@ the index is independent of that choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
 from .diagram import Diagram
 from .errors import InconsistentLabelingError, PreconditionError
+from .memo import memo
 
 __all__ = ["ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map"]
 
@@ -85,7 +85,7 @@ def crossing_sign(d: Diagram, crossing: int) -> int:
     return d.sign(crossing)
 
 
-@lru_cache(maxsize=65536)
+@memo
 def index_map(d: Diagram) -> Mapping[int, int]:
     """Index of every crossing of a one-component diagram, as a read-only
     view (the memoised value is shared by every caller)."""

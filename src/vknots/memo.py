@@ -1,0 +1,60 @@
+"""The one memoisation policy of the invariant layers.
+
+The invariants are built recursively from the three smoothings, so one
+command asks for the same smoothed diagram, index map or difference writhe
+many times.  Every function that caches such per-diagram results does so
+through ``memo``: a C ``functools.lru_cache`` (hits stay cheap) bounded by
+``MAXSIZE`` and keyed on the hashable, immutable ``Diagram`` and the other
+arguments.  Every table is registered in ``TABLES``.
+
+A table lives for one unit of work: the command line empties them all with
+``clear()`` when a command returns and after each ``batch`` row, so no
+command keeps the results of the rows or commands before it.  A library
+caller that never calls ``clear()`` keeps one process-wide memo, bounded
+per function by ``MAXSIZE``.
+
+``cache_clear()`` on a table (and so ``clear()``) folds the table's hits
+and misses into running totals before emptying it, and ``cache_info()``
+reports those cumulative counts, so hit ratios taken across many commands
+stay correct.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+__all__ = ["MAXSIZE", "TABLES", "memo", "clear"]
+
+# Entries per memoised function.
+MAXSIZE = 65536
+
+TABLES: list = []
+
+
+def memo(fn):
+    """Memoise ``fn`` under the module's policy and register its table."""
+    table = lru_cache(maxsize=MAXSIZE)(fn)
+    live_info, live_clear = table.cache_info, table.cache_clear
+    folded = [0, 0]  # hits and misses counted before the last clear
+
+    def cache_info():
+        info = live_info()
+        return info._replace(hits=info.hits + folded[0],
+                             misses=info.misses + folded[1])
+
+    def cache_clear():
+        info = live_info()
+        folded[0] += info.hits
+        folded[1] += info.misses
+        live_clear()
+
+    table.cache_info = cache_info
+    table.cache_clear = cache_clear
+    TABLES.append(table)
+    return table
+
+
+def clear() -> None:
+    """Empty every memo table, keeping the cumulative hit/miss counts."""
+    for table in TABLES:
+        table.cache_clear()

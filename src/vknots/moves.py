@@ -337,6 +337,8 @@ def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
     step, and stops early if no move fits under ``max_crossings``."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
+    if max_crossings < 0:
+        raise PreconditionError("max-crossings must be >= 0")
     rng = random.Random(seed)
     cur = d
     for _ in range(steps):

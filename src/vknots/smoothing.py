@@ -23,10 +23,9 @@ work.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .diagram import Diagram, Passage
 from .errors import PreconditionError
+from .memo import memo
 
 __all__ = ["smooth1", "smooth2", "smooth3"]
 
@@ -68,7 +67,7 @@ def _apply_flips(components, flips) -> tuple:
     )
 
 
-@lru_cache(maxsize=65536)
+@memo
 def smooth1(d: Diagram, crossing: int) -> Diagram:
     """Type-1 smoothing: same component count, one segment reversed.
 
@@ -97,7 +96,7 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     return Diagram(_apply_flips(comps, flips))
 
 
-@lru_cache(maxsize=65536)
+@memo
 def smooth3(d: Diagram, crossing: int) -> Diagram:
     """Type-3 smoothing: two components merge; result has one fewer.
 

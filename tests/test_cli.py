@@ -160,3 +160,25 @@ def test_batch_missing_catalog_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "batch", "--inv", "aip", str(tmp_path / "none.tsv"))
     assert code == 2
     assert err.startswith("input error: cannot read catalog")
+
+
+def test_unreadable_input_file_exit_2(capsys, tmp_path):
+    f = tmp_path / "knot.gauss"
+    f.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "invariant", "--inv", "aip", str(f))
+    assert code == 2
+    assert err.startswith("input error: cannot read input file")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--seed", "1", "--steps", "3", "--max-crossings", "-5", "VTREF"),
+     "max-crossings"),
+    (("distinguish", "--depth", "-1", "KISHINO", "UNKNOT"), "depth"),
+    (("distinguish", "--window", "0", "KISHINO", "UNKNOT"), "window"),
+    (("batch", "--window", "0", "missing.tsv"), "window"),
+])
+def test_out_of_range_flags_exit_3(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"precondition violated: {flag} must be >= ")

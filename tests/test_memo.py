@@ -1,0 +1,116 @@
+"""The memo policy: a command leaves no table behind, counts accumulate,
+and memoised values equal freshly computed ones."""
+
+import random
+import sys
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vknots import memo
+from vknots.cli import _default_battery, main
+from vknots.invariants import comparable_invariant, dwrithe, fingerprint, span_nk
+from vknots.labeling import index_map
+from vknots.smoothing import smooth1, smooth3
+
+from conftest import random_chord_diagram
+
+DEPTH, WINDOW = 1, 2
+
+
+def _totals():
+    return [t.cache_info() for t in memo.TABLES]
+
+
+def test_every_memoised_function_is_registered():
+    assert set(memo.TABLES) == {
+        index_map, smooth1, smooth3, dwrithe, span_nk, fingerprint,
+    }
+    assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
+
+
+def test_clear_keeps_cumulative_counts(vtref):
+    memo.clear()
+    before = index_map.cache_info()
+    index_map(vtref)
+    index_map(vtref)
+    memo.clear()
+    after = index_map.cache_info()
+    assert after.currsize == 0
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--inv", "djn(1),fnmk(1,1,1)", "--steps", "3", "--seed", "2",
+      "K431"], 0),
+    (["invariant", "--inv", "aip", "O1+O2+"], 2),
+    # The baseline fills the memo before the walk rejects the flag.
+    (["verify", "--inv", "djn(1)", "--max-crossings", "-1", "--seed", "2",
+      "K431"], 3),
+])
+def test_main_leaves_every_table_empty(capsys, vtref, argv, code):
+    memo.clear()
+    dwrithe(vtref, 1)
+    before = _totals()
+    assert sum(info.currsize for info in before) > 0
+    assert main(argv) == code
+    after = _totals()
+    assert all(info.currsize == 0 for info in after)
+    for b, a in zip(before, after):
+        assert a.hits >= b.hits and a.misses >= b.misses
+
+
+def test_batch_empties_tables_after_each_row(capsys, tmp_path, monkeypatch):
+    cat = tmp_path / "cat.tsv"
+    cat.write_text("a\tO1+U2+O3+U1+O2+U3+\nb\tO1+O2+U1+U2+\n", encoding="utf-8")
+    sizes = []
+    real_clear = memo.clear
+
+    def spy():
+        sizes.append(sum(t.cache_info().currsize for t in memo.TABLES))
+        real_clear()
+
+    monkeypatch.setattr(memo, "clear", spy)
+    assert main(["batch", "--inv", "fnmk(1,1,1)", str(cat)]) == 0
+    # One clear per row, each finding that row's entries, then main's own.
+    assert len(sizes) == 3 and sizes[0] > 0 and sizes[1] > 0
+
+
+@contextmanager
+def _uncached():
+    """Rebind every memoised function, in every vknots module, to the
+    function it wraps, so recursive calls bypass the memo too."""
+    ids = {id(t) for t in memo.TABLES}
+    swapped = []
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "vknots" or name.startswith("vknots.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if id(value) in ids:
+                setattr(mod, attr, value.__wrapped__)
+                swapped.append((mod, attr, value))
+    try:
+        yield
+    finally:
+        for mod, attr, value in swapped:
+            setattr(mod, attr, value)
+
+
+def _battery(d):
+    return [comparable_invariant(name, d, params, DEPTH, WINDOW)
+            for name, params in _default_battery(d, WINDOW)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 5), st.integers(1, 3))
+def test_memo_does_not_change_values(seed, n_chords, n_components):
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    cold = _battery(d)
+    warm = _battery(d)
+    memo.clear()
+    cleared = _battery(d)
+    with _uncached():
+        fresh = _battery(d)
+    assert warm == cold == cleared == fresh
