@@ -202,10 +202,10 @@ def cmd_move(args) -> int:
 def cmd_verify(args) -> int:
     d = _resolve(args.input)
     todo = _inv_list(args.inv, d, args)
+    steps = walk(d, args.steps, args.seed, args.max_crossings)
     baseline = [inv.comparable_invariant(name, d, params, args.depth, args.window)
                 for name, params in todo]
     failures: dict[int, int] = {}  # index into todo -> first failing step
-    steps = walk(d, args.steps, args.seed, args.max_crossings)
     for step, cur in enumerate(steps, start=1):
         for k, (name, params) in enumerate(todo):
             if k not in failures and baseline[k] != inv.comparable_invariant(

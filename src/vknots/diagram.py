@@ -300,48 +300,72 @@ class FlatKey:
     and crossing relabeling.  Component order and orientations are part of
     the key.  Not a complete flat invariant: Reidemeister-equivalent flat
     diagrams may still get different keys.
+
+    ``canonical_text`` is the least, over all per-component rotations, of
+    the flat text: crossings are relabeled 1, 2, ... in order of first
+    visit; the first visit is written ``<label>+`` or ``<label>-`` (the
+    sign, negated when that passage is the under one, which makes it
+    crossing-change invariant) and the second ``<label>'``; tokens are
+    joined by ``.``, components by ``;``, and a crossing-free component is
+    ``0``.
     """
 
     canonical_text: str
 
 
-def _flat_text(components: tuple[Component, ...], rotations: tuple[int, ...]) -> str:
-    # A crossing change flips the over/under arrow and the sign together, so
-    # the pair (first passage is the over one, sign) is well defined up to a
-    # simultaneous flip; anchoring the arrow at the first-encountered passage
-    # makes the per-chord datum crossing-change invariant.
-    relabel: dict[int, int] = {}
-    flat_sign: dict[int, int] = {}
-    out = []
-    for comp, rot in zip(components, rotations):
-        toks = []
-        n = len(comp)
-        for k in range(n):
-            p = comp[(rot + k) % n]
-            if p.crossing not in relabel:
-                relabel[p.crossing] = len(relabel) + 1
-                flat_sign[p.crossing] = p.sign if p.over else -p.sign
-                toks.append(f"{relabel[p.crossing]}{'+' if flat_sign[p.crossing] > 0 else '-'}")
-            else:
-                toks.append(f"{relabel[p.crossing]}'")
-        out.append(".".join(toks) if toks else "0")
-    return ";".join(out)
-
-
 def flat_key(d: Diagram) -> FlatKey:
-    """Deterministic key of the underlying flat diagram class."""
-    sizes = [max(len(c), 1) for c in d.components]
+    """Deterministic key of the underlying flat diagram class.
 
-    def rec(idx: int, rotations: tuple[int, ...], best: list[str | None]):
-        if idx == len(sizes):
-            text = _flat_text(d.components, rotations)
-            if best[0] is None or text < best[0]:
-                best[0] = text
-            return
-        for r in range(sizes[idx]):
-            rec(idx + 1, rotations + (r,), best)
-
-    best: list[str | None] = [None]
-    rec(0, (), best)
-    assert best[0] is not None
-    return FlatKey(best[0])
+    Exact greedy search, one component at a time.  A component of n
+    passages has n tokens in every rotation, and a token ends at its one
+    non-digit, so no candidate text of a component is a strict prefix of
+    another.  The least text of the whole link is therefore the least text
+    of component 1, followed by the least text of component 2 among the
+    rotations that reach that first minimum, and so on.  The search keeps
+    only states whose text so far is the minimum, branching on ties, and
+    compares each rotation token by token against the best, leaving it at
+    the first larger token.  A state is the labels of the crossings still
+    to be met again, which is all later text depends on; states with equal
+    labels merge.  The cost grows with the number of ties times the square
+    of the component lengths, not with the product of the lengths.
+    """
+    last = {}  # crossing -> last component it meets
+    for ci, comp in enumerate(d.components):
+        for p in comp:
+            last[p.crossing] = ci
+    states: list[dict[int, str]] = [{}]  # crossing -> its second-visit token
+    labelled = 0
+    parts = []
+    for ci, comp in enumerate(d.components):
+        if not comp:
+            parts.append("0")
+            continue
+        seq = [(p.crossing, "+" if (p.sign > 0) == p.over else "-") for p in comp]
+        best: list[str] | None = None
+        ties: dict[frozenset, dict[int, str]] = {}
+        for seen in states:
+            for r in range(len(seq)):
+                fresh: dict[int, str] = {}
+                toks: list[str] = []
+                equal = best is not None  # text so far equals best's
+                for c, s in seq[r:] + seq[:r]:
+                    tok = seen.get(c) or fresh.get(c)
+                    if tok is None:
+                        label = labelled + len(fresh) + 1
+                        tok = f"{label}{s}"
+                        fresh[c] = f"{label}'"
+                    if equal and tok != best[len(toks)]:
+                        if tok > best[len(toks)]:
+                            break
+                        equal = False
+                    toks.append(tok)
+                else:
+                    if not equal:
+                        best, ties = toks, {}
+                    state = {c: t for c, t in (*seen.items(), *fresh.items())
+                             if last[c] > ci}
+                    ties.setdefault(frozenset(state.items()), state)
+        parts.append(".".join(best))
+        labelled += sum(not t.endswith("'") for t in best)
+        states = list(ties.values())
+    return FlatKey(";".join(parts))

@@ -333,13 +333,17 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
 
 
 def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
-    """Deterministic random move sequence: yields the diagram after each
-    step, and stops early if no move fits under ``max_crossings``."""
+    """Deterministic random move sequence: an iterator over the diagram
+    after each step, which stops early if no move fits under
+    ``max_crossings``.  Bad arguments raise here, before any step."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if max_crossings < 0:
         raise PreconditionError("max-crossings must be >= 0")
-    rng = random.Random(seed)
+    return _walk(d, steps, random.Random(seed), max_crossings)
+
+
+def _walk(d: Diagram, steps: int, rng: random.Random, max_crossings: int):
     cur = d
     for _ in range(steps):
         budget = max_crossings - cur.n_crossings

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vknots import invariants
 from vknots.cli import main
 
 
@@ -182,3 +183,20 @@ def test_out_of_range_flags_exit_3(capsys, argv, flag):
     assert code == 3
     assert out == ""
     assert err.startswith(f"precondition violated: {flag} must be >= ")
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--max-crossings"])
+def test_verify_rejects_flag_before_baseline(capsys, monkeypatch, flag):
+    calls = []
+    real = invariants.comparable_invariant
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "comparable_invariant", counting)
+    code, out, err = run(capsys, "verify", flag, "-1", "--seed", "7", "K431")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"precondition violated: {flag[2:]} must be >= 0")
+    assert calls == []

@@ -46,7 +46,8 @@ def test_clear_keeps_cumulative_counts(vtref):
     (["verify", "--inv", "djn(1),fnmk(1,1,1)", "--steps", "3", "--seed", "2",
       "K431"], 0),
     (["invariant", "--inv", "aip", "O1+O2+"], 2),
-    # The baseline fills the memo before the walk rejects the flag.
+    # Rejected before any invariant runs; the dwrithe call above filled
+    # the memo, and main still empties it.
     (["verify", "--inv", "djn(1)", "--max-crossings", "-1", "--seed", "2",
       "K431"], 3),
 ])

@@ -1,8 +1,8 @@
 import pytest
 
 from vknots import parse, serialize
-from vknots.errors import StaleMoveError
-from vknots.moves import apply_move, enumerate_moves, random_walk
+from vknots.errors import PreconditionError, StaleMoveError
+from vknots.moves import apply_move, enumerate_moves, random_walk, walk
 from conftest import random_knot, random_chord_diagram
 
 import random
@@ -132,3 +132,9 @@ def test_walk_yields_each_step_and_ends_at_random_walk(vtref):
         assert 0 < len(steps) <= 20
         assert serialize(steps[-1]) == serialize(random_walk(vtref, 20, seed, 8))
         assert all(d.n_crossings <= 8 for d in steps)
+
+
+@pytest.mark.parametrize("steps, max_crossings", [(-1, 12), (3, -1)])
+def test_walk_checks_arguments_before_iteration(vtref, steps, max_crossings):
+    with pytest.raises(PreconditionError):
+        walk(vtref, steps, 1, max_crossings)
