@@ -184,7 +184,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_move(args) -> int:
     d = _resolve(args.input)
-    kinds = tuple(args.kinds.split(",")) if args.kinds else KINDS
+    kinds = tuple(k.strip() for k in args.kinds.split(",")) if args.kinds else KINDS
     sites = enumerate_moves(d, kinds)
     if args.apply is None:
         for i, m in enumerate(sites):
@@ -352,8 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: argparse gives every parse_args call a fresh namespace.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # moves.walk checks --steps and --max-crossings.
         for flag, floor in (("depth", 0), ("window", 1)):

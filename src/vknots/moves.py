@@ -7,12 +7,19 @@ brought together through them.  Insertions at arbitrary arc pairs are
 therefore legitimate moves of the virtual theory even when no classical
 bigon is present.
 
-R3 sites are triangles of three strand-runs with a consistent over/under
-hierarchy whose order/sign data matches a frozen table of the sixteen
-locally realizable configurations (generated by sweeping all triangles of
-three directed lines in the plane).  Applying any move yields a valid
-diagram; deletes shrink the crossing count by the move's arity and R3
-swaps the three adjacent passage pairs in place.
+R3 sites are triangles of three strand-runs (six distinct passages) on
+three distinct chord pairs of three chords, so each run shares one crossing
+with each other run; ``apply_move`` refuses any other run triple.  The
+runs are ranked by how many of their two passages are over: 2/1/0 is
+top/middle/bottom, any other split is a cyclic hierarchy and no site.  The
+ranked order/sign data must match a frozen table of the sixteen locally
+realizable configurations (generated by sweeping all triangles of three
+directed lines in the plane).  Applying any move yields a valid diagram;
+deletes shrink the crossing count by the move's arity and R3 swaps the
+three adjacent passage pairs in place.
+
+A walk step asks ``enumerate_moves`` only for the kinds whose crossing
+change fits the remaining budget, so no site is built only to be dropped.
 """
 
 from __future__ import annotations
@@ -115,29 +122,6 @@ def _r2_delete_sites(d: Diagram):
                 yield MoveSite("R2-delete", (ci, pos, cj, qos))
 
 
-def _runs_hierarchy(runs):
-    """Given three runs [(chords, flags, pos_data)], compute (T, M, B) order
-    or None if the over/under relations are cyclic."""
-    # beats[i][j]: run i is over at its crossing with run j
-    beats = {}
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            common = runs[i]["chords"] & runs[j]["chords"]
-            if len(common) != 1:
-                return None
-            c = next(iter(common))
-            beats[(i, j)] = runs[i]["flag"][c] == OVER
-    score = [sum(beats[(i, j)] for j in range(3) if j != i) for i in range(3)]
-    if sorted(score) != [0, 1, 2]:
-        return None
-    t = score.index(2)
-    m = score.index(1)
-    b = score.index(0)
-    return t, m, b
-
-
 def _run(d: Diagram, ci: int, pos: int):
     """Record of the strand run through positions pos and pos+1 of component
     ci, or None if both passages belong to one crossing (a kink)."""
@@ -150,7 +134,7 @@ def _run(d: Diagram, ci: int, pos: int):
         "loc": (ci, pos),
         "span": frozenset(((ci, pos), (ci, nxt))),
         "chords": frozenset((p.crossing, q.crossing)),
-        "flag": {p.crossing: p.strand, q.crossing: q.strand},
+        "overs": p.over + q.over,
         "order": (p.crossing, q.crossing),
     }
 
@@ -158,32 +142,34 @@ def _run(d: Diagram, ci: int, pos: int):
 def _r3_sites(d: Diagram):
     runs = [r for ci, pos, _, _ in _adjacent_pairs(d)
             if (r := _run(d, ci, pos)) is not None]
-    seen = set()
     n = len(runs)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 trio = (runs[i], runs[j], runs[k])
                 chords = trio[0]["chords"] | trio[1]["chords"] | trio[2]["chords"]
-                if len(chords) != 3:
-                    continue
-                if len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6:
+                if len(chords) != 3:  # cheap part of _r3_pattern's rule
                     continue
                 if _r3_pattern(d, trio) is None:
                     continue
-                loc = tuple(sorted(r["loc"] for r in trio))
-                if loc not in seen:
-                    seen.add(loc)
-                    yield MoveSite("R3", loc)
+                # runs come in (comp, pos) order, so this is sorted and unique
+                yield MoveSite("R3", tuple(r["loc"] for r in trio))
 
 
 def _r3_pattern(d: Diagram, trio):
-    """Pattern tuple of a run triple if it is a legal R3 site, else None."""
-    hier = _runs_hierarchy(list(trio))
-    if hier is None:
+    """Pattern tuple of a run triple if it is a legal R3 site, else None.
+
+    The runs must be the three sides of a triangle: six distinct passages
+    on distinct chord pairs of three chords, so each run meets each other
+    run at one crossing and its over count is how many runs it lies above."""
+    a, b, c = (r["chords"] for r in trio)
+    if len(a | b | c) != 3 or a == b or a == c or b == c:
         return None
-    t, m, b = hier
-    rt, rm, rb = trio[t], trio[m], trio[b]
+    if len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6:
+        return None
+    rt, rm, rb = sorted(trio, key=lambda r: -r["overs"])
+    if (rt["overs"], rm["overs"], rb["overs"]) != (2, 1, 0):
+        return None
     c_tm = next(iter(rt["chords"] & rm["chords"]))
     c_tb = next(iter(rt["chords"] & rb["chords"]))
     c_mb = next(iter(rm["chords"] & rb["chords"]))
@@ -215,7 +201,14 @@ def _insert_sites(d: Diagram, kind: str):
 
 
 def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
-    """All applicable delete/R3 sites and the spanning set of insert sites."""
+    """All applicable delete/R3 sites and the spanning set of insert sites,
+    of the requested kinds only, in ``KINDS`` order."""
+    unknown = [k for k in kinds if k not in KINDS]
+    if unknown:
+        raise PreconditionError(
+            f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(KINDS)}"
+        )
     out: list[MoveSite] = []
     for kind in KINDS:
         if kind not in kinds:
@@ -347,7 +340,8 @@ def _walk(d: Diagram, steps: int, rng: random.Random, max_crossings: int):
     cur = d
     for _ in range(steps):
         budget = max_crossings - cur.n_crossings
-        sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
+        sites = enumerate_moves(
+            cur, [k for k in KINDS if _CROSSING_DELTA[k] <= budget])
         if not sites:
             return
         cur = apply_move(cur, sites[rng.randrange(len(sites))])

@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vknots import invariants
+from vknots import invariants, parse, serialize
 from vknots.cli import main
+from vknots.errors import GaussCodeError, ValidationError
 
 
 def run(capsys, *argv):
@@ -85,6 +90,28 @@ def test_move_list_and_apply(capsys):
     code, out, _ = run(capsys, "move", "--apply", "0", "O1+U1+")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("kinds", ["R4", "R1-delete,R4", "R1-insert,"])
+@pytest.mark.parametrize("apply", [(), ("--apply", "0")])
+def test_move_unknown_kind_exit_3(capsys, kinds, apply):
+    code, out, err = run(capsys, "move", "--kinds", kinds, *apply, "O1+U1+")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("precondition violated: unknown move kind")
+
+
+def test_move_kinds_ignore_spaces(capsys):
+    _, spaced, _ = run(capsys, "move", "--kinds", "R1-delete, R1-insert", "O1+U1+")
+    _, tight, _ = run(capsys, "move", "--kinds", "R1-delete,R1-insert", "O1+U1+")
+    assert spaced == tight
+    assert "R1-insert" in spaced
+
+
+def test_parameter_flags_do_not_leak_between_calls(capsys):
+    code = "O1-O2+O3+U1-U3+U2+"  # djn(1) = 2, djn(2) = -1
+    assert run(capsys, "invariant", "--inv", "djn", "--n", "2", code)[:2] == (0, "-1\n")
+    assert run(capsys, "invariant", "--inv", "djn", code)[:2] == (0, "2\n")
 
 
 def test_verify_pass_and_determinism(capsys):
@@ -200,3 +227,32 @@ def test_verify_rejects_flag_before_baseline(capsys, monkeypatch, flag):
     assert out == ""
     assert err.startswith(f"precondition violated: {flag[2:]} must be >= 0")
     assert calls == []
+
+
+_FUZZ_COMMANDS = (
+    ("parse",),
+    ("invariant", "--inv", "aip"),
+    ("invariant", "--inv", "span"),
+    ("invariant", "--inv", "bsum(1)"),
+    ("smooth", "--type", "2", "--at", "1"),
+    ("move",),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="OU0123456789+-;() \u0663", max_size=30))
+def test_arbitrary_text_maps_to_documented_exit_codes(text):
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*command, "--", text])
+        assert code in (0, 2, 3), (command, err.getvalue())
+        if command == ("parse",):
+            try:
+                canon = serialize(parse(text))
+            except (GaussCodeError, ValidationError):
+                assert code == 2
+                continue
+            assert code == 0
+            assert out.getvalue() == canon + "\n"
+            assert serialize(parse(canon)) == canon

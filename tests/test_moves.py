@@ -1,11 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from vknots import parse, serialize
 from vknots.errors import PreconditionError, StaleMoveError
-from vknots.moves import apply_move, enumerate_moves, random_walk, walk
+from vknots.moves import (_R3_PATTERNS, MoveSite, apply_move, enumerate_moves,
+                          random_walk, walk)
 from conftest import random_knot, random_chord_diagram
-
-import random
 
 
 def kinds_of(sites):
@@ -84,17 +86,37 @@ def test_walk_zero_steps(vtref):
     assert serialize(random_walk(vtref, 0, 1, 10)) == serialize(vtref)
 
 
+def _reference_walk(d, steps, seed, max_crossings):
+    """The walk by its definition: enumerate every site, keep those whose
+    crossing change fits the budget, draw one."""
+    cur = d
+    rng = random.Random(seed)
+    for _ in range(steps):
+        budget = max_crossings - cur.n_crossings
+        sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
+        if not sites:
+            return
+        cur = apply_move(cur, sites[rng.randrange(len(sites))])
+        yield cur
+
+
 def test_walk_respects_budget(vtref):
-    for seed in range(10):
-        cur = vtref
-        rng = random.Random(seed)
-        for _ in range(25):
-            budget = 7 - cur.n_crossings
-            sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
-            if not sites:
-                break
-            cur = apply_move(cur, sites[rng.randrange(len(sites))])
-            assert cur.n_crossings <= 7
+    # Starts of 8 and 9 crossings lie above the cap of 7 (negative budget).
+    above = [d for d in (random_walk(vtref, 30, s, 9) for s in range(8))
+             if d.n_crossings > 7]
+    assert {d.n_crossings for d in above} == {8, 9}
+    steps_above_cap = 0
+    for start in [vtref] + above:
+        for seed in range(6):
+            got = list(walk(start, 25, seed, 7))
+            expected = list(_reference_walk(start, 25, seed, 7))
+            assert [serialize(d) for d in got] == [serialize(d) for d in expected]
+            prev = start.n_crossings
+            for d in got:
+                assert d.n_crossings <= max(7, prev - 1)
+                steps_above_cap += prev > 7
+                prev = d.n_crossings
+    assert steps_above_cap > 0
     assert random_walk(vtref, 25, 3, 7).n_crossings <= 7
 
 
@@ -138,3 +160,85 @@ def test_walk_yields_each_step_and_ends_at_random_walk(vtref):
 def test_walk_checks_arguments_before_iteration(vtref, steps, max_crossings):
     with pytest.raises(PreconditionError):
         walk(vtref, steps, 1, max_crossings)
+
+
+def _oracle_run(d, ci, pos):
+    comp = d.components[ci]
+    p, q = comp[pos], comp[(pos + 1) % len(comp)]
+    if p.crossing == q.crossing:
+        return None
+    return {"loc": (ci, pos), "order": (p.crossing, q.crossing),
+            "span": {(ci, pos), (ci, (pos + 1) % len(comp))},
+            "flag": {p.crossing: p.over, q.crossing: q.over}}
+
+
+def _disjoint(trio):
+    return len(set().union(*(r["span"] for r in trio))) == 6
+
+
+def _oracle_ranked(d, trio):
+    """The pairwise R3 rule: every two runs share exactly one crossing, run
+    i beats run j when it is over there, and the beat counts must be 2/1/0
+    (top/middle/bottom); the realizability table is the engine's."""
+    common = {(i, j): set(trio[i]["flag"]) & set(trio[j]["flag"])
+              for i in range(3) for j in range(3) if i != j}
+    if any(len(c) != 1 for c in common.values()):
+        return False
+    beats = [sum(trio[i]["flag"][min(common[i, j])] for j in range(3) if j != i)
+             for i in range(3)]
+    if sorted(beats) != [0, 1, 2]:
+        return False
+    t, m, b = (beats.index(r) for r in (2, 1, 0))
+    (c_tm,), (c_tb,), (c_mb,) = common[t, m], common[t, b], common[m, b]
+    pattern = (trio[t]["order"][0] == c_tm, trio[m]["order"][0] == c_tm,
+               trio[b]["order"][0] == c_tb, d.sign(c_tm), d.sign(c_tb), d.sign(c_mb))
+    return pattern in _R3_PATTERNS
+
+
+def _r3_oracle(d):
+    runs = [r for ci, comp in enumerate(d.components) if len(comp) > 1
+            for pos in range(len(comp)) if (r := _oracle_run(d, ci, pos))]
+    return [MoveSite("R3", tuple(r["loc"] for r in trio))
+            for trio in itertools.combinations(runs, 3)
+            if len(set().union(*(r["flag"] for r in trio))) == 3
+            and _disjoint(trio) and _oracle_ranked(d, trio)]
+
+
+def test_r3_sites_match_pairwise_oracle(vtref):
+    rng = random.Random(5)
+    corpus = [random_chord_diagram(rng, rng.randint(3, 7), rng.randint(1, 3))
+              for _ in range(500)]
+    corpus += [random_walk(d, 15, s, 9) for s, d in enumerate(corpus[:60])]
+    corpus += [random_walk(vtref, 20, s, 8) for s in range(40)]
+    found = 0
+    for d in corpus:
+        sites = enumerate_moves(d, ("R3",))
+        assert sites == _r3_oracle(d), serialize(d)
+        found += len(sites)
+    assert found >= 100
+    # apply_move judges any run triple by the same rule, and refuses runs
+    # that overlap, which enumerate_moves never lists
+    refused_overlaps = 0
+    for d in corpus[:300]:
+        locs = [(ci, pos) for ci, comp in enumerate(d.components)
+                if len(comp) > 1 for pos in range(len(comp))]
+        for t in range(20 if len(locs) >= 3 else 0):
+            if t % 2:  # two runs that share a passage, and one more
+                ci, pos = rng.choice(locs)
+                pair = {(ci, pos), (ci, (pos + 1) % len(d.components[ci]))}
+                loc = tuple(sorted(pair | {rng.choice(locs)}))
+                if len(loc) < 3:
+                    continue
+            else:
+                loc = tuple(sorted(rng.sample(locs, 3)))
+            trio = [_oracle_run(d, ci, pos) for ci, pos in loc]
+            ranked = None not in trio and _oracle_ranked(d, trio)
+            legal = ranked and _disjoint(trio)
+            refused_overlaps += ranked and not legal
+            try:
+                apply_move(d, MoveSite("R3", loc))
+            except StaleMoveError:
+                assert not legal, (serialize(d), loc)
+            else:
+                assert legal, (serialize(d), loc)
+    assert refused_overlaps > 0
