@@ -290,41 +290,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_params=True):
-        p.add_argument("--json", action="store_true", help="JSON output")
-        if with_params:
-            p.add_argument("--n", type=int, default=1)
-            p.add_argument("--m", type=int, default=1)
-            p.add_argument("--k", type=int, default=1)
-            p.add_argument("--i", type=int, default=1)
+    def common(p, json_out=False, params=False, window=False, depth=False):
+        """Add the shared flags that the subcommand reads, and no others."""
+        if json_out:
+            p.add_argument("--json", action="store_true", help="JSON output")
+        if params:
+            for name in ("n", "m", "k", "i"):
+                p.add_argument(f"--{name}", type=int, default=1)
+        if window:
             p.add_argument("--window", type=int, default=inv.DEFAULT_WINDOW)
+        if depth:
             p.add_argument("--depth", type=int, default=inv.DEFAULT_DEPTH)
 
     p = sub.add_parser("parse", help="validate and canonicalize a Gauss code")
     p.add_argument("input")
-    common(p, with_params=False)
+    common(p, json_out=True)
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("invariant", help="compute one invariant")
     p.add_argument("--inv", required=True)
     p.add_argument("input")
-    common(p)
+    common(p, json_out=True, params=True)
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("smooth", help="apply a smoothing at a crossing")
     p.add_argument("--type", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--at", type=int, required=True, metavar="ID")
     p.add_argument("input")
-    common(p, with_params=False)
     p.set_defaults(fn=cmd_smooth)
 
     p = sub.add_parser("move", help="list or apply Reidemeister move sites")
-    p.add_argument("--list", action="store_true")
+    p.add_argument("--list", action="store_true", help="list the sites (the default)")
     p.add_argument("--apply", type=int, default=None, metavar="INDEX")
     p.add_argument("--kinds", default=None,
                    help="comma list from: " + ",".join(KINDS))
     p.add_argument("input")
-    common(p, with_params=False)
     p.set_defaults(fn=cmd_move)
 
     p = sub.add_parser("verify", help="random-walk invariance check")
@@ -333,20 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-crossings", type=int, default=12)
     p.add_argument("input")
-    common(p)
+    common(p, params=True, window=True, depth=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("distinguish", help="try to separate two diagrams")
     p.add_argument("--inv", default="all")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    common(p)
+    common(p, params=True, window=True, depth=True)
     p.set_defaults(fn=cmd_distinguish)
 
     p = sub.add_parser("batch", help="evaluate invariants over a catalog file")
     p.add_argument("--inv", default="all")
     p.add_argument("catalog")
-    common(p)
+    common(p, json_out=True, params=True, window=True)
     p.set_defaults(fn=cmd_batch)
 
     return ap

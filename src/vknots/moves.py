@@ -7,57 +7,42 @@ brought together through them.  Insertions at arbitrary arc pairs are
 therefore legitimate moves of the virtual theory even when no classical
 bigon is present.
 
-R3 sites are triangles of three strand-runs (six distinct passages) on
-three distinct chord pairs of three chords, so each run shares one crossing
-with each other run; ``apply_move`` refuses any other run triple.  The
-runs are ranked by how many of their two passages are over: 2/1/0 is
-top/middle/bottom, any other split is a cyclic hierarchy and no site.  The
-ranked order/sign data must match a frozen table of the sixteen locally
-realizable configurations (generated by sweeping all triangles of three
-directed lines in the plane).  Applying any move yields a valid diagram;
-deletes shrink the crossing count by the move's arity and R3 swaps the
-three adjacent passage pairs in place.
-
-A walk step asks ``enumerate_moves`` only for the kinds whose crossing
-change fits the remaining budget, so no site is built only to be dropped.
+Each rule is one predicate that ``enumerate_moves`` and ``apply_move`` share.
+A kink (R1-delete) is two adjacent passages of one crossing; a bigon
+(R2-delete) is an adjacent over pair and under pair on the same two
+crossings, of opposite signs.  An R3 site is a triangle of three strand-runs
+(six distinct passages) on distinct chord pairs of three chords, ranked by
+how many of their two passages are over: 2/1/0 is top/middle/bottom, any
+other split is a cyclic hierarchy and no site.  Let bX say whether run X
+meets its crossing with the higher other run first, and sXY be the sign of
+the crossing of runs X and Y: three directed lines in the plane realize the
+triangle iff sTM == sTB exactly when bM == bB, and sTB == sMB exactly when
+bT == bM.  These two parities admit 16 of the 64 configurations and survive
+flipping all three bits (the move itself).  Deletes remove their strands'
+passages, inserts splice runs of new passages in at gaps, and R3 swaps its
+three adjacent passage pairs in place; every result is a valid diagram.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .diagram import OVER, UNDER, Diagram, Passage
 from .errors import PreconditionError, StaleMoveError
 
-__all__ = ["MoveSite", "enumerate_moves", "apply_move", "walk", "random_walk", "KINDS"]
+__all__ = ["MoveSite", "enumerate_moves", "apply_move", "walk", "random_walk",
+           "kinds_within", "KINDS"]
 
 KINDS = ("R1-delete", "R2-delete", "R3", "R1-insert", "R2-insert")
 _CROSSING_DELTA = {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1,
                    "R2-delete": -2, "R3": 0}
 
-# Realizable (bitT, bitM, bitB, sTM, sTB, sMB) triangle configurations, where
-# bitX records whether run X meets its crossing with the next-lower run before
-# the other one.  Exactly the sign patterns reachable by three directed lines;
-# closed under flipping all three bits (the move itself).
-_R3_PATTERNS = frozenset([
-    (False, False, False, -1, -1, -1),
-    (False, False, False, 1, 1, 1),
-    (False, False, True, -1, 1, 1),
-    (False, False, True, 1, -1, -1),
-    (False, True, False, -1, 1, -1),
-    (False, True, False, 1, -1, 1),
-    (False, True, True, -1, -1, 1),
-    (False, True, True, 1, 1, -1),
-    (True, False, False, -1, -1, 1),
-    (True, False, False, 1, 1, -1),
-    (True, False, True, -1, 1, -1),
-    (True, False, True, 1, -1, 1),
-    (True, True, False, -1, 1, 1),
-    (True, True, False, 1, -1, -1),
-    (True, True, True, -1, -1, -1),
-    (True, True, True, 1, 1, 1),
-])
+
+def kinds_within(budget: int) -> list[str]:
+    """The kinds whose crossing change is at most ``budget``, in KINDS order."""
+    return [k for k in KINDS if _CROSSING_DELTA[k] <= budget]
 
 
 @dataclass(frozen=True)
@@ -96,29 +81,42 @@ def _adjacent_pairs(d: Diagram):
             yield ci, pos, comp[pos], comp[(pos + 1) % n]
 
 
+def _kink(d: Diagram, ci: int, pos: int) -> bool:
+    """The R1-delete rule at passages pos, pos+1 of component ci."""
+    comp = d.components[ci]
+    return len(comp) > 1 and comp[pos].crossing == comp[(pos + 1) % len(comp)].crossing
+
+
+def _bigon(d: Diagram, ci: int, pos: int, cj: int, qos: int) -> bool:
+    """The R2-delete rule: over pair at (ci, pos), under pair at (cj, qos)."""
+    co, cu = d.components[ci], d.components[cj]
+    po, qo = co[pos], co[(pos + 1) % len(co)]
+    pu, qu = cu[qos], cu[(qos + 1) % len(cu)]
+    return (po.over and qo.over and not pu.over and not qu.over
+            and po.crossing != qo.crossing and po.sign == -qo.sign
+            and {po.crossing, qo.crossing} == {pu.crossing, qu.crossing})
+
+
 def _r1_delete_sites(d: Diagram):
-    seen = set()
-    for ci, pos, p, q in _adjacent_pairs(d):
-        if p.crossing == q.crossing and p.crossing not in seen:
+    seen = set()  # a two-passage component O1U1 is a kink twice
+    for ci, pos, p, _ in _adjacent_pairs(d):
+        if _kink(d, ci, pos) and p.crossing not in seen:
             seen.add(p.crossing)
             yield MoveSite("R1-delete", (ci, pos))
 
 
 def _r2_delete_sites(d: Diagram):
-    overs, unders = [], []
+    # Prefilter: only the under pairs on an over pair's two chords are judged.
+    overs, unders = [], {}
     for ci, pos, p, q in _adjacent_pairs(d):
-        if p.crossing == q.crossing:
-            continue
         key = frozenset((p.crossing, q.crossing))
         if p.over and q.over:
-            overs.append((key, ci, pos, p, q))
+            overs.append((key, ci, pos))
         elif not p.over and not q.over:
-            unders.append((key, ci, pos))
-    for key, ci, pos, p, q in overs:
-        if p.sign != -q.sign:
-            continue
-        for ukey, cj, qos in unders:
-            if ukey == key:
+            unders.setdefault(key, []).append((ci, pos))
+    for key, ci, pos in overs:
+        for cj, qos in unders.get(key, ()):
+            if _bigon(d, ci, pos, cj, qos):
                 yield MoveSite("R2-delete", (ci, pos, cj, qos))
 
 
@@ -142,46 +140,33 @@ def _run(d: Diagram, ci: int, pos: int):
 def _r3_sites(d: Diagram):
     runs = [r for ci, pos, _, _ in _adjacent_pairs(d)
             if (r := _run(d, ci, pos)) is not None]
-    n = len(runs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                trio = (runs[i], runs[j], runs[k])
-                chords = trio[0]["chords"] | trio[1]["chords"] | trio[2]["chords"]
-                if len(chords) != 3:  # cheap part of _r3_pattern's rule
-                    continue
-                if _r3_pattern(d, trio) is None:
-                    continue
-                # runs come in (comp, pos) order, so this is sorted and unique
-                yield MoveSite("R3", tuple(r["loc"] for r in trio))
+    # runs come in (comp, pos) order, so each location is sorted and unique
+    for a, b, c in itertools.combinations(runs, 3):
+        if len(a["chords"] | b["chords"] | c["chords"]) == 3 and _triangle(d, (a, b, c)):
+            yield MoveSite("R3", (a["loc"], b["loc"], c["loc"]))
 
 
-def _r3_pattern(d: Diagram, trio):
-    """Pattern tuple of a run triple if it is a legal R3 site, else None.
+def _realizable(bt: bool, bm: bool, bb: bool, s_tm: int, s_tb: int, s_mb: int) -> bool:
+    """The R3 realizability rule of the module docstring."""
+    return (s_tm == s_tb) == (bm == bb) and (s_tb == s_mb) == (bt == bm)
 
-    The runs must be the three sides of a triangle: six distinct passages
-    on distinct chord pairs of three chords, so each run meets each other
-    run at one crossing and its over count is how many runs it lies above."""
+
+def _triangle(d: Diagram, trio) -> bool:
+    """Whether a run triple is a legal R3 site: six distinct passages on
+    distinct chord pairs of three chords, ranked 2/1/0, realizable."""
     a, b, c = (r["chords"] for r in trio)
     if len(a | b | c) != 3 or a == b or a == c or b == c:
-        return None
+        return False
     if len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6:
-        return None
+        return False
     rt, rm, rb = sorted(trio, key=lambda r: -r["overs"])
     if (rt["overs"], rm["overs"], rb["overs"]) != (2, 1, 0):
-        return None
+        return False
     c_tm = next(iter(rt["chords"] & rm["chords"]))
     c_tb = next(iter(rt["chords"] & rb["chords"]))
     c_mb = next(iter(rm["chords"] & rb["chords"]))
-    pattern = (
-        rt["order"][0] == c_tm,
-        rm["order"][0] == c_tm,
-        rb["order"][0] == c_tb,
-        d.sign(c_tm),
-        d.sign(c_tb),
-        d.sign(c_mb),
-    )
-    return pattern if pattern in _R3_PATTERNS else None
+    return _realizable(rt["order"][0] == c_tm, rm["order"][0] == c_tm,
+                       rb["order"][0] == c_tb, d.sign(c_tm), d.sign(c_tb), d.sign(c_mb))
 
 
 def _insert_sites(d: Diagram, kind: str):
@@ -232,43 +217,40 @@ def _fresh_ids(d: Diagram, n: int) -> list[int]:
     return [top + 1 + k for k in range(n)]
 
 
-def _remove_positions(comp, positions):
-    return tuple(p for i, p in enumerate(comp) if i not in positions)
+def _without(d: Diagram, strands) -> Diagram:
+    """``d`` without the passages pos, pos+1 of each (comp, pos) strand."""
+    gone = {(ci, i) for ci, pos in strands
+            for i in (pos, (pos + 1) % len(d.components[ci]))}
+    return Diagram(tuple(tuple(p for i, p in enumerate(comp) if (ci, i) not in gone)
+                         for ci, comp in enumerate(d.components)))
+
+
+def _with(d: Diagram, runs, stale: str) -> Diagram:
+    """``d`` with each (comp, gap, passages) run spliced in before position
+    gap of its component, runs at one gap in list order; a gap past its
+    component's end raises ``StaleMoveError(stale)``."""
+    comps = list(d.components)
+    if any(gap > len(comps[ci]) for ci, gap, _ in runs):
+        raise StaleMoveError(stale)
+    # Descending gaps keep the gaps still to fill in place; the stable sort
+    # of the reversed runs puts the later of two tied runs in first.
+    for ci, gap, run in sorted(reversed(runs), key=lambda r: r[1], reverse=True):
+        comps[ci] = comps[ci][:gap] + run + comps[ci][gap:]
+    return Diagram(tuple(comps))
 
 
 def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     """Apply a site obtained from ``enumerate_moves`` on the same diagram."""
-    comps = list(d.components)
     if m.kind == "R1-delete":
-        ci, pos = m.location
-        comp = comps[ci]
-        n = len(comp)
-        if n < 2 or comp[pos].crossing != comp[(pos + 1) % n].crossing:
+        if not _kink(d, *m.location):
             raise StaleMoveError(f"no R1 pair at {m.location}")
-        comps[ci] = _remove_positions(comp, {pos, (pos + 1) % n})
-        return Diagram(tuple(comps))
+        return _without(d, [m.location])
 
     if m.kind == "R2-delete":
         ci, pos, cj, qos = m.location
-        co, cu = comps[ci], comps[cj]
-        po, qo = co[pos], co[(pos + 1) % len(co)]
-        pu, qu = cu[qos], cu[(qos + 1) % len(cu)]
-        ok = (
-            po.over and qo.over and not pu.over and not qu.over
-            and {po.crossing, qo.crossing} == {pu.crossing, qu.crossing}
-            and len({po.crossing, qo.crossing}) == 2
-            and po.sign == -qo.sign
-        )
-        if not ok:
+        if not _bigon(d, ci, pos, cj, qos):
             raise StaleMoveError(f"no R2 pair at {m.location}")
-        if ci == cj:
-            comps[ci] = _remove_positions(
-                co, {pos, (pos + 1) % len(co), qos, (qos + 1) % len(co)}
-            )
-        else:
-            comps[ci] = _remove_positions(co, {pos, (pos + 1) % len(co)})
-            comps[cj] = _remove_positions(cu, {qos, (qos + 1) % len(cu)})
-        return Diagram(tuple(comps))
+        return _without(d, [(ci, pos), (cj, qos)])
 
     if m.kind == "R3":
         trio = []
@@ -277,8 +259,9 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
             if run is None:
                 raise StaleMoveError(f"no R3 run at {(ci, pos)}")
             trio.append(run)
-        if _r3_pattern(d, tuple(trio)) is None:
+        if not _triangle(d, trio):
             raise StaleMoveError(f"no legal R3 triangle at {m.location}")
+        comps = list(d.components)
         for ci, pos in m.location:
             comp = list(comps[ci])
             nxt = (pos + 1) % len(comp)
@@ -292,11 +275,7 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         (cid,) = _fresh_ids(d, 1)
         second = UNDER if first == OVER else OVER
         pair = (Passage(cid, first, sign), Passage(cid, second, sign))
-        comp = comps[ci]
-        if gap > len(comp):
-            raise StaleMoveError(f"gap {gap} out of range")
-        comps[ci] = comp[:gap] + pair + comp[gap:]
-        return Diagram(tuple(comps))
+        return _with(d, [(ci, gap, pair)], f"gap {gap} out of range")
 
     if m.kind == "R2-insert":
         ci, g1, cj, g2 = m.location
@@ -307,20 +286,7 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
             under_pair = (Passage(c, UNDER, sign), Passage(e, UNDER, -sign))
         else:
             under_pair = (Passage(e, UNDER, -sign), Passage(c, UNDER, sign))
-        if g1 > len(comps[ci]) or g2 > len(comps[cj]):
-            raise StaleMoveError("gap out of range")
-        if ci == cj:
-            comp = comps[ci]
-            if g1 == g2:
-                comps[ci] = comp[:g1] + over_pair + under_pair + comp[g1:]
-            elif g1 < g2:
-                comps[ci] = comp[:g1] + over_pair + comp[g1:g2] + under_pair + comp[g2:]
-            else:
-                comps[ci] = comp[:g2] + under_pair + comp[g2:g1] + over_pair + comp[g1:]
-        else:
-            comps[ci] = comps[ci][:g1] + over_pair + comps[ci][g1:]
-            comps[cj] = comps[cj][:g2] + under_pair + comps[cj][g2:]
-        return Diagram(tuple(comps))
+        return _with(d, [(ci, g1, over_pair), (cj, g2, under_pair)], "gap out of range")
 
     raise PreconditionError(f"unknown move kind {m.kind!r}")
 
@@ -339,9 +305,7 @@ def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
 def _walk(d: Diagram, steps: int, rng: random.Random, max_crossings: int):
     cur = d
     for _ in range(steps):
-        budget = max_crossings - cur.n_crossings
-        sites = enumerate_moves(
-            cur, [k for k in KINDS if _CROSSING_DELTA[k] <= budget])
+        sites = enumerate_moves(cur, kinds_within(max_crossings - cur.n_crossings))
         if not sites:
             return
         cur = apply_move(cur, sites[rng.randrange(len(sites))])

@@ -46,7 +46,7 @@ from vknots.invariants import (
 )
 from vknots.labeling import index_map
 from vknots.laurent import LaurentPoly
-from vknots.moves import apply_move, enumerate_moves
+from vknots.moves import apply_move, enumerate_moves, kinds_within
 from vknots.smoothing import smooth1, smooth2
 from conftest import named, random_chord_diagram
 
@@ -215,8 +215,7 @@ def test_criterion_7_move_invariance():
         }
         cur = d
         for step in range(50):
-            budget = 7 - cur.n_crossings
-            sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
+            sites = enumerate_moves(cur, kinds_within(7 - cur.n_crossings))
             if not sites:
                 break
             cur = apply_move(cur, sites[rng.randrange(len(sites))])

@@ -212,6 +212,22 @@ def test_out_of_range_flags_exit_3(capsys, argv, flag):
     assert err.startswith(f"precondition violated: {flag} must be >= ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("smooth", "--json", "--type", "1", "--at", "1", "HOPF"),
+    ("move", "--json", "O1+U1+"),
+    ("verify", "--json", "--seed", "1", "--steps", "1", "--inv", "aip", "VTREF"),
+    ("distinguish", "--json", "KISHINO", "UNKNOT"),
+    ("invariant", "--depth", "1", "--inv", "aip", "VTREF"),
+    ("batch", "--depth", "1", "--inv", "aip", "missing.tsv"),
+    ("invariant", "--window", "2", "--inv", "aip", "VTREF"),
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--max-crossings"])
 def test_verify_rejects_flag_before_baseline(capsys, monkeypatch, flag):
     calls = []

@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from vknots import parse, serialize
-from vknots.errors import PreconditionError, StaleMoveError
-from vknots.moves import (_R3_PATTERNS, MoveSite, apply_move, enumerate_moves,
+from vknots.errors import PreconditionError, StaleMoveError, VknotsError
+from vknots.moves import (MoveSite, _realizable, apply_move, enumerate_moves,
                           random_walk, walk)
 from conftest import random_knot, random_chord_diagram
 
@@ -162,6 +163,38 @@ def test_walk_checks_arguments_before_iteration(vtref, steps, max_crossings):
         walk(vtref, steps, 1, max_crossings)
 
 
+# Realizable (bitT, bitM, bitB, sTM, sTB, sMB) triangle configurations, where
+# bitX records whether run X meets its crossing with the higher of the other
+# two runs first: the sign patterns reachable by three directed lines in the
+# plane, generated by sweeping all such triangles; closed under flipping all
+# three bits (the move itself).
+_R3_PATTERNS = frozenset([
+    (False, False, False, -1, -1, -1),
+    (False, False, False, 1, 1, 1),
+    (False, False, True, -1, 1, 1),
+    (False, False, True, 1, -1, -1),
+    (False, True, False, -1, 1, -1),
+    (False, True, False, 1, -1, 1),
+    (False, True, True, -1, -1, 1),
+    (False, True, True, 1, 1, -1),
+    (True, False, False, -1, -1, 1),
+    (True, False, False, 1, 1, -1),
+    (True, False, True, -1, 1, -1),
+    (True, False, True, 1, -1, 1),
+    (True, True, False, -1, 1, 1),
+    (True, True, False, 1, -1, -1),
+    (True, True, True, -1, -1, -1),
+    (True, True, True, 1, 1, 1),
+])
+
+
+def test_realizable_is_exactly_the_swept_table():
+    configs = list(itertools.product((False, True), (False, True), (False, True),
+                                     (-1, 1), (-1, 1), (-1, 1)))
+    assert len(configs) == 64
+    assert {c for c in configs if _realizable(*c)} == _R3_PATTERNS
+
+
 def _oracle_run(d, ci, pos):
     comp = d.components[ci]
     p, q = comp[pos], comp[(pos + 1) % len(comp)]
@@ -179,7 +212,7 @@ def _disjoint(trio):
 def _oracle_ranked(d, trio):
     """The pairwise R3 rule: every two runs share exactly one crossing, run
     i beats run j when it is over there, and the beat counts must be 2/1/0
-    (top/middle/bottom); the realizability table is the engine's."""
+    (top/middle/bottom), and the configuration must be in _R3_PATTERNS."""
     common = {(i, j): set(trio[i]["flag"]) & set(trio[j]["flag"])
               for i in range(3) for j in range(3) if i != j}
     if any(len(c) != 1 for c in common.values()):
@@ -242,3 +275,52 @@ def test_r3_sites_match_pairwise_oracle(vtref):
             else:
                 assert legal, (serialize(d), loc)
     assert refused_overlaps > 0
+
+
+# sha256 of _contract_digest(), recorded before the rules of moves.py were
+# restated as predicates; perfbench's input digests and criterion 7's corpus
+# are built from these site lists and walks.
+_CONTRACT_SHA256 = "6ffc178d241b8e319fd2a1ee073c46bba8d3709b97714020832b2540f1d37454"
+
+
+def _outcome(d, m):
+    try:
+        return serialize(apply_move(d, m))
+    except VknotsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    except (IndexError, ZeroDivisionError) as exc:  # locations off the diagram
+        return type(exc).__name__
+
+
+def _contract_digest():
+    """Every site list, the outcome of applying its deletes/R3 and every 7th
+    site, of stale sites from the previous diagram and of random R1/R2-delete
+    and R3 locations, and three seeded walks, over 200 random diagrams of
+    0-6 chords on 1-3 components."""
+    rng = random.Random(606)
+    h = hashlib.sha256()
+    prev = []
+    for _ in range(200):
+        d = random_chord_diagram(rng, rng.randint(0, 6), rng.randint(1, 3))
+        sites = enumerate_moves(d)
+        picks = [m for i, m in enumerate(sites) if m.crossing_delta <= 0 or i % 7 == 0]
+        locs = [(ci, pos) for ci, comp in enumerate(d.components)
+                for pos in range(len(comp))]
+        probes = [MoveSite("R3", tuple(sorted(rng.sample(locs, 3))))
+                  for _ in range(10 if len(locs) >= 3 else 0)]
+        probes += [MoveSite(kind, (*rng.choice(locs), *rng.choice(locs))[:arity])
+                   for kind, arity in (("R1-delete", 2), ("R2-delete", 4)) * 5 if locs]
+        for m in sites:
+            h.update(f"{m.kind} {m.location} {m.variant}\n".encode())
+        for m in picks + prev + probes:
+            h.update(f"{_outcome(d, m)}\n".encode())
+        for _ in range(3):
+            for cur in walk(d, 12, rng.randrange(2**31), 7):
+                h.update(f"{serialize(cur)}\n".encode())
+        h.update(b"--\n")
+        prev = picks[::3]
+    return h.hexdigest()
+
+
+def test_sites_applications_and_seeded_walks_are_pinned():
+    assert _contract_digest() == _CONTRACT_SHA256
