@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPoly
-from .moves import KINDS, apply_move, enumerate_moves, walk
+from .moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
 
 
 def _resolve(text: str) -> Diagram:
@@ -184,13 +184,13 @@ def cmd_smooth(args) -> int:
 
 def cmd_move(args) -> int:
     d = _resolve(args.input)
-    kinds = tuple(k.strip() for k in args.kinds.split(",")) if args.kinds else KINDS
-    sites = enumerate_moves(d, kinds)
+    kinds = KINDS if args.kinds is None else tuple(k.strip() for k in args.kinds.split(","))
     if args.apply is None:
-        for i, m in enumerate(sites):
+        for i, m in enumerate(enumerate_moves(d, kinds)):
             variant = f" variant={m.variant}" if m.variant else ""
             print(f"{i}: {m.kind} at {m.location}{variant}")
         return 0
+    sites = MoveSites(d, kinds)
     if not 0 <= args.apply < len(sites):
         raise PreconditionError(
             f"move index {args.apply} out of range (0..{len(sites) - 1})"

@@ -1,18 +1,16 @@
 """Classical Reidemeister rewrites on Gauss diagrams.
 
-Site detection works directly on the cyclic passage sequences: "adjacent"
-means no other classical passage between, which is the right notion here
-because virtual crossings are not represented and any two arcs can be
-brought together through them.  Insertions at arbitrary arc pairs are
-therefore legitimate moves of the virtual theory even when no classical
-bigon is present.
+Sites are found on the cyclic passage sequences, where "adjacent" means no
+other classical passage between: virtual crossings are not represented and
+any two arcs can be brought together through them, so an insertion at any
+arc pair is a move of the virtual theory, bigon or not.
 
 Each rule is one predicate that ``enumerate_moves`` and ``apply_move`` share.
 A kink (R1-delete) is two adjacent passages of one crossing; a bigon
 (R2-delete) is an adjacent over pair and under pair on the same two
 crossings, of opposite signs.  An R3 site is a triangle of three strand-runs
-(six distinct passages) on distinct chord pairs of three chords, ranked by
-how many of their two passages are over: 2/1/0 is top/middle/bottom, any
+(six distinct passages) on the chord pairs ab, ac, bc of three chords, ranked
+by how many of their two passages are over: 2/1/0 is top/middle/bottom, any
 other split is a cyclic hierarchy and no site.  Let bX say whether run X
 meets its crossing with the higher other run first, and sXY be the sign of
 the crossing of runs X and Y: three directed lines in the plane realize the
@@ -21,10 +19,16 @@ bT == bM.  These two parities admit 16 of the 64 configurations and survive
 flipping all three bits (the move itself).  Deletes remove their strands'
 passages, inserts splice runs of new passages in at gaps, and R3 swaps its
 three adjacent passage pairs in place; every result is a valid diagram.
+
+Sites come in ``KINDS`` order, R3 sites in their runs' (comp, pos) order.
+Insert sites are numbered, not searched: over the gaps in (comp, gap) order
+(an empty component has one), site i has variant i % 4 at gap i // 4 (R1) or
+gap pair divmod(i // 4, gaps) (R2), so ``MoveSites`` builds one by index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from .diagram import OVER, UNDER, Diagram, Passage
 from .errors import PreconditionError, StaleMoveError
 
-__all__ = ["MoveSite", "enumerate_moves", "apply_move", "walk", "random_walk",
+__all__ = ["MoveSite", "MoveSites", "enumerate_moves", "apply_move", "walk", "random_walk",
            "kinds_within", "KINDS"]
 
 KINDS = ("R1-delete", "R2-delete", "R3", "R1-insert", "R2-insert")
@@ -75,9 +79,7 @@ def _adjacent_pairs(d: Diagram):
     """(comp, pos, passage, next_passage) for every cyclically adjacent pair."""
     for ci, comp in enumerate(d.components):
         n = len(comp)
-        if n < 2:
-            continue
-        for pos in range(n):
+        for pos in range(n if n > 1 else 0):
             yield ci, pos, comp[pos], comp[(pos + 1) % n]
 
 
@@ -128,22 +130,25 @@ def _run(d: Diagram, ci: int, pos: int):
     p, q = comp[pos], comp[nxt]
     if p.crossing == q.crossing:
         return None
-    return {
-        "loc": (ci, pos),
-        "span": frozenset(((ci, pos), (ci, nxt))),
-        "chords": frozenset((p.crossing, q.crossing)),
-        "overs": p.over + q.over,
-        "order": (p.crossing, q.crossing),
-    }
+    return {"loc": (ci, pos), "span": frozenset(((ci, pos), (ci, nxt))),
+            "chords": frozenset((p.crossing, q.crossing)), "overs": p.over + q.over,
+            "order": (p.crossing, q.crossing)}
 
 
 def _r3_sites(d: Diagram):
     runs = [r for ci, pos, _, _ in _adjacent_pairs(d)
             if (r := _run(d, ci, pos)) is not None]
-    # runs come in (comp, pos) order, so each location is sorted and unique
-    for a, b, c in itertools.combinations(runs, 3):
-        if len(a["chords"] | b["chords"] | c["chords"]) == 3 and _triangle(d, (a, b, c)):
-            yield MoveSite("R3", (a["loc"], b["loc"], c["loc"]))
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for i, r in enumerate(runs):
+        by_pair.setdefault(tuple(sorted(r["chords"])), []).append(i)
+    # A triangle's runs lie on the pairs ab, ac, bc of chords a < b < c; runs
+    # come in (comp, pos) order, so the sorted index triples are sorted sites.
+    found = sorted(tuple(sorted(trio))
+                   for a, pairs in itertools.groupby(sorted(by_pair), lambda pair: pair[0])
+                   for (_, b), (_, c) in itertools.combinations(pairs, 2) if (b, c) in by_pair
+                   for trio in itertools.product(by_pair[a, b], by_pair[a, c], by_pair[b, c])
+                   if _triangle(d, [runs[i] for i in trio]))
+    return [MoveSite("R3", tuple(runs[i]["loc"] for i in trio)) for trio in found]
 
 
 def _realizable(bt: bool, bm: bool, bb: bool, s_tm: int, s_tb: int, s_mb: int) -> bool:
@@ -155,9 +160,8 @@ def _triangle(d: Diagram, trio) -> bool:
     """Whether a run triple is a legal R3 site: six distinct passages on
     distinct chord pairs of three chords, ranked 2/1/0, realizable."""
     a, b, c = (r["chords"] for r in trio)
-    if len(a | b | c) != 3 or a == b or a == c or b == c:
-        return False
-    if len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6:
+    if (len(a | b | c) != 3 or a == b or a == c or b == c
+            or len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6):
         return False
     rt, rm, rb = sorted(trio, key=lambda r: -r["overs"])
     if (rt["overs"], rm["overs"], rb["overs"]) != (2, 1, 0):
@@ -169,20 +173,25 @@ def _triangle(d: Diagram, trio) -> bool:
                        rb["order"][0] == c_tb, d.sign(c_tm), d.sign(c_tb), d.sign(c_mb))
 
 
-def _insert_sites(d: Diagram, kind: str):
-    gaps = [(ci, g) for ci, comp in enumerate(d.components)
-            for g in range(max(len(comp), 1))]
-    if kind == "R1-insert":
-        for ci, g in gaps:
-            for sign in (1, -1):
-                for first in (OVER, UNDER):
-                    yield MoveSite("R1-insert", (ci, g), (sign, first))
-    else:
-        for ci, g1 in gaps:
-            for cj, g2 in gaps:
-                for sign in (1, -1):
-                    for order in ("par", "anti"):
-                        yield MoveSite("R2-insert", (ci, g1, cj, g2), (sign, order))
+# Insert kind -> (gaps per site, variants in order); KINDS lists them last.
+_INSERTS = {"R1-insert": (1, tuple(itertools.product((1, -1), (OVER, UNDER)))),
+            "R2-insert": (2, tuple(itertools.product((1, -1), ("par", "anti"))))}
+_SEARCHED = {"R1-delete": _r1_delete_sites, "R2-delete": _r2_delete_sites, "R3": _r3_sites}
+
+
+def _insert_site(kind: str, gaps, i: int) -> MoveSite:
+    """Insert site i of ``kind``: variant i % 4 at gap (pair) i // 4."""
+    n_gaps, variants = _INSERTS[kind]
+    at, v = divmod(i, 4)
+    loc = gaps[at] if n_gaps == 1 else (*gaps[at // len(gaps)], *gaps[at % len(gaps)])
+    return MoveSite(kind, loc, variants[v])
+
+
+def _insert_parts(d: Diagram, kinds) -> list:
+    """(count, site) per insert kind asked for: site(i) is its site i."""
+    gaps = [(ci, g) for ci, comp in enumerate(d.components) for g in range(max(len(comp), 1))]
+    return [(4 * len(gaps) ** _INSERTS[k][0], functools.partial(_insert_site, k, gaps))
+            for k in _INSERTS if k in kinds]
 
 
 def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
@@ -190,31 +199,32 @@ def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
     of the requested kinds only, in ``KINDS`` order."""
     unknown = [k for k in kinds if k not in KINDS]
     if unknown:
-        raise PreconditionError(
-            f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
-            f"expected some of {', '.join(KINDS)}"
-        )
-    out: list[MoveSite] = []
-    for kind in KINDS:
-        if kind not in kinds:
-            continue
-        if kind == "R1-delete":
-            out.extend(_r1_delete_sites(d))
-        elif kind == "R2-delete":
-            out.extend(_r2_delete_sites(d))
-        elif kind == "R3":
-            out.extend(_r3_sites(d))
-        else:
-            out.extend(_insert_sites(d, kind))
-    return out
+        raise PreconditionError(f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
+                                f"expected some of {', '.join(KINDS)}")
+    out = [m for k in KINDS if k in kinds and k in _SEARCHED for m in _SEARCHED[k](d)]
+    return out + [site(i) for n, site in _insert_parts(d, kinds) for i in range(n)]
+
+
+class MoveSites:
+    """``enumerate_moves(d, kinds)`` by index: the delete and R3 sites are
+    listed, an insert site is built only when it is indexed."""
+
+    def __init__(self, d: Diagram, kinds=KINDS):
+        listed = enumerate_moves(d, [k for k in kinds if k not in _INSERTS])
+        self._parts = [(len(listed), listed.__getitem__)] + _insert_parts(d, kinds)
+
+    def __len__(self) -> int:
+        return sum(n for n, _ in self._parts)
+
+    def __getitem__(self, i: int) -> MoveSite:
+        for n, site in self._parts:
+            if 0 <= i < n:
+                return site(i)
+            i -= n
+        raise IndexError("move index out of range")
 
 
 # -- application --------------------------------------------------------
-
-
-def _fresh_ids(d: Diagram, n: int) -> list[int]:
-    top = max(d.crossing_ids(), default=0)
-    return [top + 1 + k for k in range(n)]
 
 
 def _without(d: Diagram, strands) -> Diagram:
@@ -247,54 +257,44 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         return _without(d, [m.location])
 
     if m.kind == "R2-delete":
-        ci, pos, cj, qos = m.location
-        if not _bigon(d, ci, pos, cj, qos):
+        if not _bigon(d, *m.location):
             raise StaleMoveError(f"no R2 pair at {m.location}")
-        return _without(d, [(ci, pos), (cj, qos)])
+        return _without(d, [m.location[:2], m.location[2:]])
 
     if m.kind == "R3":
         trio = []
         for ci, pos in m.location:
-            run = _run(d, ci, pos)
-            if run is None:
+            if (run := _run(d, ci, pos)) is None:
                 raise StaleMoveError(f"no R3 run at {(ci, pos)}")
             trio.append(run)
         if not _triangle(d, trio):
             raise StaleMoveError(f"no legal R3 triangle at {m.location}")
-        comps = list(d.components)
+        comps = [list(comp) for comp in d.components]
         for ci, pos in m.location:
-            comp = list(comps[ci])
-            nxt = (pos + 1) % len(comp)
-            comp[pos], comp[nxt] = comp[nxt], comp[pos]
-            comps[ci] = tuple(comp)
-        return Diagram(tuple(comps))
+            nxt = (pos + 1) % len(comps[ci])
+            comps[ci][pos], comps[ci][nxt] = comps[ci][nxt], comps[ci][pos]
+        return Diagram(tuple(map(tuple, comps)))
 
     if m.kind == "R1-insert":
-        ci, gap = m.location
-        sign, first = m.variant
-        (cid,) = _fresh_ids(d, 1)
-        second = UNDER if first == OVER else OVER
-        pair = (Passage(cid, first, sign), Passage(cid, second, sign))
+        (ci, gap), (sign, first) = m.location, m.variant
+        cid = max(d.crossing_ids(), default=0) + 1
+        pair = (Passage(cid, first, sign), Passage(cid, UNDER if first == OVER else OVER, sign))
         return _with(d, [(ci, gap, pair)], f"gap {gap} out of range")
 
     if m.kind == "R2-insert":
-        ci, g1, cj, g2 = m.location
-        sign, order = m.variant
-        c, e = _fresh_ids(d, 2)
-        over_pair = (Passage(c, OVER, sign), Passage(e, OVER, -sign))
-        if order == "par":
-            under_pair = (Passage(c, UNDER, sign), Passage(e, UNDER, -sign))
-        else:
-            under_pair = (Passage(e, UNDER, -sign), Passage(c, UNDER, sign))
+        (ci, g1, cj, g2), (sign, order) = m.location, m.variant
+        c = max(d.crossing_ids(), default=0) + 1
+        over_pair = (Passage(c, OVER, sign), Passage(c + 1, OVER, -sign))
+        under_pair = (Passage(c, UNDER, sign), Passage(c + 1, UNDER, -sign))
+        under_pair = under_pair if order == "par" else under_pair[::-1]
         return _with(d, [(ci, g1, over_pair), (cj, g2, under_pair)], "gap out of range")
 
     raise PreconditionError(f"unknown move kind {m.kind!r}")
 
 
 def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
-    """Deterministic random move sequence: an iterator over the diagram
-    after each step, which stops early if no move fits under
-    ``max_crossings``.  Bad arguments raise here, before any step."""
+    """Deterministic random move sequence: an iterator over the diagram after each step,
+    which stops early if no move fits under ``max_crossings``; bad arguments raise here."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if max_crossings < 0:
@@ -305,7 +305,7 @@ def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
 def _walk(d: Diagram, steps: int, rng: random.Random, max_crossings: int):
     cur = d
     for _ in range(steps):
-        sites = enumerate_moves(cur, kinds_within(max_crossings - cur.n_crossings))
+        sites = MoveSites(cur, kinds_within(max_crossings - cur.n_crossings))
         if not sites:
             return
         cur = apply_move(cur, sites[rng.randrange(len(sites))])

@@ -92,13 +92,28 @@ def test_move_list_and_apply(capsys):
     assert out.strip() == "0"
 
 
-@pytest.mark.parametrize("kinds", ["R4", "R1-delete,R4", "R1-insert,"])
+@pytest.mark.parametrize("kinds", ["R4", "R1-delete,R4", "R1-insert,", ""])
 @pytest.mark.parametrize("apply", [(), ("--apply", "0")])
 def test_move_unknown_kind_exit_3(capsys, kinds, apply):
     code, out, err = run(capsys, "move", "--kinds", kinds, *apply, "O1+U1+")
     assert code == 3
     assert out == ""
     assert err.startswith("precondition violated: unknown move kind")
+
+
+def test_move_apply_builds_the_listed_site(capsys):
+    # --apply builds site N by index instead of listing; it must be site N.
+    from vknots.moves import apply_move, enumerate_moves
+
+    code = "O1+U2-U1+O2-;0"
+    for kinds in ("R1-delete,R2-insert", "R3,R1-insert,R2-insert"):
+        sites = enumerate_moves(parse(code), tuple(kinds.split(",")))
+        for n in (0, 1, len(sites) // 2, len(sites) - 1):
+            _, out, _ = run(capsys, "move", "--kinds", kinds, "--apply", str(n), code)
+            assert out.strip() == serialize(apply_move(parse(code), sites[n])), (kinds, n)
+        status, _, err = run(capsys, "move", "--kinds", kinds, "--apply", str(len(sites)), code)
+        assert status == 3
+        assert err.strip().endswith(f"move index {len(sites)} out of range (0..{len(sites) - 1})")
 
 
 def test_move_kinds_ignore_spaces(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from vknots import parse, serialize
 from vknots.errors import PreconditionError, StaleMoveError, VknotsError
-from vknots.moves import (MoveSite, _realizable, apply_move, enumerate_moves,
-                          random_walk, walk)
+from vknots.moves import (KINDS, MoveSite, MoveSites, _realizable, apply_move,
+                          enumerate_moves, random_walk, walk)
 from conftest import random_knot, random_chord_diagram
 
 
@@ -121,6 +121,21 @@ def test_walk_respects_budget(vtref):
     assert random_walk(vtref, 25, 3, 7).n_crossings <= 7
 
 
+def test_walk_matches_reference_at_cli_cap():
+    # The CLI's default cap of 12, from 8-12-crossing knots and from links
+    # with up to four components, empty ones included.
+    rng = random.Random(12)
+    starts = [random_chord_diagram(rng, rng.randint(8, 12), 1) for _ in range(4)]
+    starts += [random_chord_diagram(rng, rng.randint(2, 9), rng.randint(2, 4)) for _ in range(4)]
+    starts += [parse("0;0"), parse("O1+U1+;0;0")]
+    assert any(not comp for d in starts for comp in d.components)
+    for start in starts:
+        for seed in range(3):
+            got = list(walk(start, 20, seed, 12))
+            expected = list(_reference_walk(start, 20, seed, 12))
+            assert [serialize(d) for d in got] == [serialize(d) for d in expected]
+
+
 def test_moves_on_links_preserve_component_count():
     rng = random.Random(11)
     for _ in range(20):
@@ -136,6 +151,41 @@ def test_insert_enumeration_spans_variants(unknot):
     assert variants == {(1, "O"), (1, "U"), (-1, "O"), (-1, "U")}
     r2 = enumerate_moves(unknot, ("R2-insert",))
     assert len(r2) == 4  # 1 gap pair x 2 signs x par/anti
+
+
+def _insert_sites_oracle(d, kind):
+    """The insert sites as nested loops: gap (x gap) x sign x order."""
+    gaps = [(ci, g) for ci, comp in enumerate(d.components)
+            for g in range(max(len(comp), 1))]
+    if kind == "R1-insert":
+        for ci, g in gaps:
+            for sign in (1, -1):
+                for first in ("O", "U"):
+                    yield MoveSite("R1-insert", (ci, g), (sign, first))
+    else:
+        for ci, g1 in gaps:
+            for cj, g2 in gaps:
+                for sign in (1, -1):
+                    for order in ("par", "anti"):
+                        yield MoveSite("R2-insert", (ci, g1, cj, g2), (sign, order))
+
+
+def test_insert_sites_by_index_match_nested_loops():
+    rng = random.Random(17)
+    corpus = [parse("0"), parse("0;0;0"), parse("O1+U1+;0")]
+    corpus += [random_chord_diagram(rng, rng.randint(0, 14), rng.randint(1, 4))
+               for _ in range(150)]
+    assert sum(any(not comp for comp in d.components) for d in corpus) > 10
+    for d in corpus:
+        for kind in ("R1-insert", "R2-insert"):
+            assert enumerate_moves(d, (kind,)) == list(_insert_sites_oracle(d, kind))
+        # MoveSites indexes the very list enumerate_moves builds
+        for kinds in (KINDS, ("R2-delete", "R2-insert"), ("R3", "R1-insert"), ()):
+            sites, listed = MoveSites(d, kinds), enumerate_moves(d, kinds)
+            assert [sites[i] for i in range(len(sites))] == listed
+            for i in (-1, len(listed)):
+                with pytest.raises(IndexError):
+                    sites[i]
 
 
 def test_walk_preserves_affine_index_poly(vtref):
@@ -243,6 +293,11 @@ def test_r3_sites_match_pairwise_oracle(vtref):
               for _ in range(500)]
     corpus += [random_walk(d, 15, s, 9) for s, d in enumerate(corpus[:60])]
     corpus += [random_walk(vtref, 20, s, 8) for s in range(40)]
+    # 10-12 crossings, walked at the CLI cap: R2-inserts leave chord pairs
+    # that carry two runs, which the chord-pair index must group.
+    big = random.Random(10)
+    corpus += [random_walk(random_chord_diagram(big, big.randint(10, 12), big.randint(1, 2)),
+                           s % 3 * 10, s, 12) for s in range(60)]
     found = 0
     for d in corpus:
         sites = enumerate_moves(d, ("R3",))
