@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..diagram import Diagram, reverse_component
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
-from .spans import fspan_nk, linking_numbers
+from .spans import fspan_window, linking_numbers
 from .writhes import dwrithe, dwrithe_nm
 
 __all__ = [
@@ -76,13 +76,7 @@ def _knot_vector(d: Diagram, window: int) -> tuple:
 
 
 def _pair_vector(d: Diagram, window: int) -> tuple:
-    lk = linking_numbers(d)
-    fs = tuple(
-        fspan_nk(d, n, k)
-        for n in range(1, window + 1)
-        for k in range(0, window + 1)
-    )
-    return ("span", lk.span, "fspan", fs)
+    return ("span", linking_numbers(d).span, "fspan", fspan_window(d, window))
 
 
 def kink_class_fingerprints(d: Diagram, i: int, depth: int,

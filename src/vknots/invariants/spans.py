@@ -6,11 +6,16 @@ linking numbers; their difference (the span) survives all moves, and the
 refinement by difference writhes of type-3 smoothings survives crossing
 changes once symmetrized.  Attaching those flat spans of type-2 smoothings
 to the crossings of a knot gives the three-variable polynomial family.
+
+The spans of a link are read from one memoised row per inter-component
+crossing (``span_table``), which smooths each such crossing once; any
+(n,k)-span, or a whole window of them, is one pass over those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..diagram import Diagram
 from ..errors import PreconditionError
@@ -19,13 +24,15 @@ from ..laurent import LaurentPoly
 from ..memo import memo
 from ..smoothing import smooth1, smooth2, smooth3
 from .weights import WeightFn
-from .writhes import crossing_poly, dwrithe
+from .writhes import crossing_poly, difference, dwrithe, writhe_table
 
 __all__ = [
     "LinkingNumbers",
     "linking_numbers",
+    "span_table",
     "span_nk",
     "fspan_nk",
+    "fspan_window",
     "tilde_f",
     "over_under_weight",
     "smoothed_link_dwrithe_weight",
@@ -74,22 +81,45 @@ def linking_numbers(d: Diagram) -> LinkingNumbers:
 
 
 @memo
+def span_table(d: Diagram) -> tuple:
+    """One row ``(s, table)`` per crossing joining the two components of a
+    2-component diagram: s is its sign when the first component passes
+    over and minus its sign otherwise, and table is the writhe table of
+    its type-3 smoothing, as a read-only view."""
+    return tuple(
+        (d.sign(c) if first_over else -d.sign(c),
+         MappingProxyType(writhe_table(smooth3(d, c))))
+        for c, first_over in _inter_crossings(d)
+    )
+
+
 def span_nk(d: Diagram, n: int, k: int) -> int:
     """Signed over-minus-under count over crossings whose type-3 smoothing
     has n-th difference writhe k."""
     _require_two_components(d, "the (n,k)-span")
     if n <= 0:
         raise PreconditionError("the (n,k)-span requires n > 0")
-    total = 0
-    for c, first_over in _inter_crossings(d):
-        if dwrithe(smooth3(d, c), n) == k:
-            total += d.sign(c) if first_over else -d.sign(c)
-    return total
+    return sum(s for s, table in span_table(d) if difference(table, n) == k)
 
 
 def fspan_nk(d: Diagram, n: int, k: int) -> int:
     """Flat span: symmetrized in k, hence crossing-change invariant."""
     return span_nk(d, n, k) + span_nk(d, n, -k)
+
+
+def fspan_window(d: Diagram, window: int) -> tuple:
+    """``fspan_nk(d, n, k)`` for n in 1..window and k in 0..window, n
+    major, in one pass over ``span_table(d)``."""
+    _require_two_components(d, "the (n,k)-span")
+    width = window + 1
+    acc = [0] * (window * width)
+    for s, table in span_table(d):
+        for n in range(1, width):
+            k = abs(difference(table, n))
+            if k <= window:
+                # k = 0 enters both terms of the symmetrized sum.
+                acc[(n - 1) * width + k] += s if k else 2 * s
+    return tuple(acc)
 
 
 # Weight-function formulation of the same sums, for the generic path.

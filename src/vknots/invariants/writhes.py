@@ -5,11 +5,23 @@ with the (-n)-th writhe is insensitive to crossing changes, which makes it
 an invariant of the underlying flat knot.  Refinements below attach
 difference writhes of type-1 smoothed diagrams to each crossing, giving
 the two- and three-variable polynomial families.
+
+Every writhe-type value of a diagram is read from a writhe table:
+``writhe_table(d)`` maps each crossing index to its signed crossing count,
+and ``smoothed_writhe_table(d, m)`` sums, over the crossings of index m
+or -m, their signs times the writhe tables of their type-1 smoothings.
+A difference writhe is then one subtraction, ``table[n] - table[-n]``.
+``dwrithe`` is memoised per (diagram, n) and ``smoothed_writhe_table`` per
+(diagram, m).  ``writhe_table`` is not: the callers that read one diagram's
+table many times are those memoised functions and ``spans.span_table``.
 """
 
 from __future__ import annotations
 
-from ..diagram import Diagram
+from types import MappingProxyType
+from typing import Mapping
+
+from ..diagram import OVER, Diagram
 from ..errors import PreconditionError
 from ..labeling import index_map
 from ..laurent import LaurentPoly
@@ -17,6 +29,8 @@ from ..memo import memo
 from ..smoothing import smooth1
 
 __all__ = [
+    "writhe_table",
+    "smoothed_writhe_table",
     "writhe_n",
     "dwrithe",
     "affine_index_poly",
@@ -52,13 +66,30 @@ def crossing_poly(variables: tuple[str, ...], rows) -> LaurentPoly:
     return LaurentPoly.from_dict(variables, acc)
 
 
+def writhe_table(d: Diagram) -> dict[int, int]:
+    """Signed crossing count of every index of a knot diagram; indices
+    without crossings are absent."""
+    inds = index_map(d)
+    acc: dict[int, int] = {}
+    # Signs read off the over passages: cheaper than a d.sign() per crossing.
+    for p in d.components[0]:
+        if p.strand == OVER:
+            i = inds[p.crossing]
+            acc[i] = acc.get(i, 0) + p.sign
+    return acc
+
+
+def difference(table: Mapping[int, int], n: int) -> int:
+    """``table[n] - table[-n]``, absent entries counting as 0."""
+    return table.get(n, 0) - table.get(-n, 0)
+
+
 def writhe_n(d: Diagram, n: int) -> int:
     """n-th writhe: signed count of crossings with index n (n != 0)."""
     _require_knot(d, "the n-th writhe")
     if n == 0:
         raise PreconditionError("the n-th writhe requires n != 0")
-    inds = index_map(d)
-    return sum(d.sign(c) for c, i in inds.items() if i == n)
+    return writhe_table(d).get(n, 0)
 
 
 @memo
@@ -67,7 +98,7 @@ def dwrithe(d: Diagram, n: int) -> int:
     _require_knot(d, "the difference writhe")
     if n <= 0:
         raise PreconditionError("the difference writhe requires n > 0")
-    return writhe_n(d, n) - writhe_n(d, -n)
+    return difference(writhe_table(d), n)
 
 
 def affine_index_poly(d: Diagram) -> LaurentPoly:
@@ -101,6 +132,24 @@ def f_poly(d: Diagram, n: int) -> LaurentPoly:
     return crossing_poly(FPOLY_VARS, rows)
 
 
+@memo
+def smoothed_writhe_table(d: Diagram, m: int) -> Mapping[int, int]:
+    """Index j -> sum of sign(c) * writhe_j(smooth1(d, c)) over the
+    crossings c of index m or -m (m > 0), as a read-only view.
+
+    Only those crossings are smoothed: ``f_poly_nmk`` asks for the table of
+    every type-1 smoothing of a diagram, and smoothing all of their
+    crossings would dominate it.
+    """
+    acc: dict[int, int] = {}
+    for c, i in index_map(d).items():
+        if i == m or i == -m:
+            s = d.sign(c)
+            for j, w in writhe_table(smooth1(d, c)).items():
+                acc[j] = acc.get(j, 0) + s * w
+    return MappingProxyType(acc)
+
+
 def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
     """(n,m)-difference writhe:
     ``m * sum of sign(c) * smoothed_dwrithe(c, n) over crossings of index
@@ -116,12 +165,7 @@ def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
         raise PreconditionError("the (n,m)-difference writhe requires n > 0")
     if m == 0:
         return 0
-    inds = index_map(d)
-    return m * sum(
-        d.sign(c) * smoothed_dwrithe(d, c, n)
-        for c, i in inds.items()
-        if i in (m, -m)
-    )
+    return m * difference(smoothed_writhe_table(d, abs(m)), n)
 
 
 def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:

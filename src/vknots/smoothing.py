@@ -96,7 +96,6 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     return Diagram(_apply_flips(comps, flips))
 
 
-@memo
 def smooth3(d: Diagram, crossing: int) -> Diagram:
     """Type-3 smoothing: two components merge; result has one fewer.
 

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import memo
+from vknots import memo, parse
 from vknots.cli import _default_battery, main
-from vknots.invariants import comparable_invariant, dwrithe, fingerprint, span_nk
+from vknots.invariants import comparable_invariant, dwrithe, fingerprint
+from vknots.invariants.spans import span_table
+from vknots.invariants.writhes import smoothed_writhe_table
 from vknots.labeling import index_map
-from vknots.smoothing import smooth1, smooth3
+from vknots.smoothing import smooth1
 
 from conftest import random_chord_diagram
 
@@ -26,9 +28,29 @@ def _totals():
 
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
-        index_map, smooth1, smooth3, dwrithe, span_nk, fingerprint,
+        index_map, smooth1, dwrithe, smoothed_writhe_table, span_table,
+        fingerprint,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
+
+
+def test_memoised_tables_are_read_only(k431, hopf):
+    """A memoised value is shared by every later caller, so none can be
+    edited in place: mappings are read-only views, rows are tuples."""
+    link = parse("U2-U4+;O1-O4+U1-O2-")  # K431 split at crossing 3
+    rows = span_table(link)
+    assert rows == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
+    assert all(isinstance(row, tuple) for row in rows)
+    tables = [index_map(k431), smoothed_writhe_table(k431, 1)] \
+        + [table for _, table in rows]
+    for table in tables:
+        with pytest.raises(TypeError):
+            table[1] = 7
+        with pytest.raises(AttributeError):
+            table.clear()
+    assert dict(smoothed_writhe_table(k431, 1)) == {1: -3, -1: 1, 2: 1, -2: -1}
+    assert span_table(link) == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
+    assert isinstance(fingerprint(hopf, 0, 1).data, tuple)
 
 
 def test_clear_keeps_cumulative_counts(vtref):
