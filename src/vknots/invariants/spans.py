@@ -8,8 +8,10 @@ changes once symmetrized.  Attaching those flat spans of type-2 smoothings
 to the crossings of a knot gives the three-variable polynomial family.
 
 The spans of a link are read from one memoised row per inter-component
-crossing (``span_table``), which smooths each such crossing once; any
-(n,k)-span, or a whole window of them, is one pass over those rows.
+crossing (``span_table``), which reads the writhe table of each such
+crossing's type-3 smoothing off the link's passages, without building the
+smoothed Diagram; any (n,k)-span, or a whole window of them, is one pass
+over those rows.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from types import MappingProxyType
 
 from ..diagram import Diagram
 from ..errors import PreconditionError
-from ..labeling import index_map
+from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
 from ..memo import memo
-from ..smoothing import smooth1, smooth2, smooth3
+from ..smoothing import smooth1, smooth2, smooth3, type3_segments
 from .weights import WeightFn
-from .writhes import crossing_poly, difference, dwrithe, writhe_table
+from .writhes import crossing_poly, difference, dwrithe, writhe_totals
 
 __all__ = [
     "LinkingNumbers",
@@ -88,7 +90,7 @@ def span_table(d: Diagram) -> tuple:
     its type-3 smoothing, as a read-only view."""
     return tuple(
         (d.sign(c) if first_over else -d.sign(c),
-         MappingProxyType(writhe_table(smooth3(d, c))))
+         MappingProxyType(writhe_totals(index_walk(*type3_segments(d, c)))))
         for c, first_over in _inter_crossings(d)
     )
 
@@ -162,6 +164,10 @@ def tilde_f(d: Diagram, n: int, k: int, m: int) -> LaurentPoly:
             f"(got {d.n_components} components)"
         )
     base = dwrithe(d, n)
+    # k is the n of every (k,m) flat span below; checked here, so a knot
+    # with no crossing rejects it too.
+    if k <= 0:
+        raise PreconditionError("the (n,k)-span requires n > 0")
     rows = []
     for c, ind in index_map(d).items():
         e1 = dwrithe(smooth1(d, c), n)

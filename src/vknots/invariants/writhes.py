@@ -11,9 +11,13 @@ Every writhe-type value of a diagram is read from a writhe table:
 and ``smoothed_writhe_table(d, m)`` sums, over the crossings of index m
 or -m, their signs times the writhe tables of their type-1 smoothings.
 A difference writhe is then one subtraction, ``table[n] - table[-n]``.
-``dwrithe`` is memoised per (diagram, n) and ``smoothed_writhe_table`` per
-(diagram, m).  ``writhe_table`` is not: the callers that read one diagram's
-table many times are those memoised functions and ``spans.span_table``.
+Every index comes from ``labeling.index_walk``: ``writhe_table`` reads a
+knot's through the memoised ``index_map``, which the polynomials ask for
+too, and the writhe table of a smoothing is summed from the walk over the
+parent's segment pair (``writhe_totals``), so no smoothed Diagram is built
+for it.  ``dwrithe`` is memoised per (diagram, n) and
+``smoothed_writhe_table`` per (diagram, m).  ``writhe_table`` is not: its
+only readers are ``writhe_n`` and the memoised ``dwrithe``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from typing import Mapping
 
 from ..diagram import OVER, Diagram
 from ..errors import PreconditionError
-from ..labeling import index_map
+from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
 from ..memo import memo
-from ..smoothing import smooth1
+from ..smoothing import smooth1, type1_segments
 
 __all__ = [
     "writhe_table",
@@ -64,6 +68,15 @@ def crossing_poly(variables: tuple[str, ...], rows) -> LaurentPoly:
         for exps, coef in (((ind, *e), s), ((0, *r), -s)):
             acc[exps] = acc.get(exps, 0) + coef
     return LaurentPoly.from_dict(variables, acc)
+
+
+def writhe_totals(walk) -> dict[int, int]:
+    """Signed crossing count per index of an ``index_walk``; indices
+    without crossings are absent."""
+    acc: dict[int, int] = {}
+    for _, s, i in walk:
+        acc[i] = acc.get(i, 0) + s
+    return acc
 
 
 def writhe_table(d: Diagram) -> dict[int, int]:
@@ -145,8 +158,8 @@ def smoothed_writhe_table(d: Diagram, m: int) -> Mapping[int, int]:
     for c, i in index_map(d).items():
         if i == m or i == -m:
             s = d.sign(c)
-            for j, w in writhe_table(smooth1(d, c)).items():
-                acc[j] = acc.get(j, 0) + s * w
+            for _, t, j in index_walk(*type1_segments(d, c)):
+                acc[j] = acc.get(j, 0) + s * t
     return MappingProxyType(acc)
 
 

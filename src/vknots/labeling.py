@@ -18,6 +18,11 @@ index of a crossing is
 i.e. the decrementing strand's incoming label minus the incrementing
 strand's, minus one.  Labels are pinned to 0 on each component's first arc;
 the index is independent of that choice.
+
+``index_walk`` is the one implementation of that formula: a single walk
+along a knot's passages, or along a smoothing's segment pair
+(``smoothing.type1_segments``, ``type3_segments``) with no smoothed
+Diagram built.  ``index_map`` is the walk over a knot's own component.
 """
 
 from __future__ import annotations
@@ -26,11 +31,15 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .diagram import Diagram
+from .diagram import OVER, Diagram
 from .errors import InconsistentLabelingError, PreconditionError
 from .memo import memo
+from .smoothing import one_sided
 
-__all__ = ["ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map"]
+__all__ = [
+    "ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map",
+    "index_walk",
+]
 
 
 def _step(passage) -> int:
@@ -85,21 +94,52 @@ def crossing_sign(d: Diagram, crossing: int) -> int:
     return d.sign(crossing)
 
 
+def index_walk(fwd, back=()) -> list[tuple[int, int, int]]:
+    """``(crossing, sign, index)`` of every crossing of the knot traversed
+    as ``fwd + reversed(back)``, in one labelling walk over the passages.
+
+    A crossing with exactly one passage in ``back`` has its sign flipped,
+    so a segment pair of ``smoothing`` gives the crossings of that
+    smoothing without building it; ``(component, ())`` gives a knot's own.
+    The walk carries the label of the arc it is on (base 0) and adds it at
+    an over passage and subtracts it at an under one, so a crossing's two
+    passages sum to ``o - u``.
+    """
+    flips = one_sided(back)
+    out = []
+    pending: dict[int, int] = {}
+    label = 0
+    for segment in (fwd, reversed(back)):
+        for p in segment:
+            c = p.crossing
+            s = -p.sign if c in flips else p.sign
+            if p.strand == OVER:
+                v = label
+                label -= s
+            else:
+                v = -label
+                label += s
+            first = pending.pop(c, None)
+            if first is None:
+                pending[c] = v
+            else:
+                out.append((c, s, first + v - s))
+    return out
+
+
 @memo
 def index_map(d: Diagram) -> Mapping[int, int]:
-    """Index of every crossing of a one-component diagram, as a read-only
-    view (the memoised value is shared by every caller)."""
+    """Index of every crossing of a one-component diagram, in crossing-id
+    order, as a read-only view (the memoised value is shared by every
+    caller)."""
     if d.n_components != 1:
         raise PreconditionError(
             "crossing index is defined for knot diagrams only "
             f"(got {d.n_components} components)"
         )
-    (labels,) = _component_labels(d)
-    out = {}
-    for cid in d.crossing_ids():
-        (_, oi), (_, ui) = d.passage_positions(cid)
-        out[cid] = labels[oi] - labels[ui] - d.sign(cid)
-    return MappingProxyType(out)
+    return MappingProxyType(
+        dict(sorted((c, ind) for c, _, ind in index_walk(d.components[0])))
+    )
 
 
 def crossing_index(d: Diagram, crossing: int) -> int:

@@ -19,6 +19,14 @@ polynomials of the VK family, and swapping either choice breaks them.
 Changing the smoothed crossing before a type-3 smoothing reverses the
 merged knot's orientation, which is what makes the flat span machinery
 work.
+
+Types 1 and 3 are each stated once, as a segment pair ``(fwd, back)`` of
+the parent's passages (``type1_segments``, ``type3_segments``): the
+smoothed component is ``fwd + reversed(back)``, and a crossing with
+exactly one passage in ``back`` flips its sign.  ``smooth1`` and
+``smooth3`` build their Diagram from that pair; the writhe tables of a
+smoothing are read off the same pair by ``labeling.index_walk``, with no
+Diagram built.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from .diagram import Diagram, Passage
 from .errors import PreconditionError
 from .memo import memo
 
-__all__ = ["smooth1", "smooth2", "smooth3"]
+__all__ = [
+    "smooth1", "smooth2", "smooth3", "type1_segments", "type3_segments", "one_sided",
+]
 
 
 def _after(comp, i):
@@ -51,12 +61,40 @@ def _split_self(d: Diagram, crossing: int, op: str):
     return oc, rest[:k], rest[k + 1:]
 
 
-def _one_sided(x_segment) -> set[int]:
-    """Crossings with exactly one passage inside the reversed segment."""
-    inside: dict[int, int] = {}
-    for p in x_segment:
-        inside[p.crossing] = inside.get(p.crossing, 0) + 1
-    return {cid for cid, k in inside.items() if k == 1}
+def type1_segments(d: Diagram, crossing: int) -> tuple:
+    """The segment pair ``(fwd, back)`` of the type-1 smoothing: X and Y.
+
+    The segment entered at the under-passage exit is the one reversed; the
+    opposite choice flips the orientation of the result and is rejected by
+    the golden three-variable span polynomials of the VK family.
+    """
+    return _split_self(d, crossing, "type-1 smoothing")[1:]
+
+
+def type3_segments(d: Diagram, crossing: int) -> tuple:
+    """The segment pair ``(fwd, back)`` of the type-3 smoothing: the over
+    passage's component after it, and the under passage's after it, so the
+    under passage's component is the one reversed."""
+    (oc, oi), (uc, ui) = d.passage_positions(crossing)
+    if oc == uc:
+        raise PreconditionError(
+            f"type-3 smoothing requires a crossing of two components; "
+            f"crossing {crossing} is a self-crossing of component {oc + 1}"
+        )
+    return _after(d.components[oc], oi), _after(d.components[uc], ui)
+
+
+def one_sided(segment) -> set[int]:
+    """Crossings with exactly one passage inside a reversed segment: the
+    crossings whose sign the reversal flips."""
+    flips = set()
+    for p in segment:
+        c = p.crossing
+        if c in flips:
+            flips.remove(c)
+        else:
+            flips.add(c)
+    return flips
 
 
 def _apply_flips(components, flips) -> tuple:
@@ -67,19 +105,19 @@ def _apply_flips(components, flips) -> tuple:
     )
 
 
+def _splice(d: Diagram, slots, fwd, back) -> Diagram:
+    """``d`` with the components at ``slots`` replaced by one component,
+    ``fwd + reversed(back)``, at the smallest of those slots."""
+    comps = [c for k, c in enumerate(d.components) if k not in slots]
+    comps.insert(min(slots), fwd + tuple(reversed(back)))
+    return Diagram(_apply_flips(comps, one_sided(back)))
+
+
 @memo
 def smooth1(d: Diagram, crossing: int) -> Diagram:
-    """Type-1 smoothing: same component count, one segment reversed.
-
-    The segment entered at the under-passage exit is the one reversed; the
-    opposite choice flips the orientation of the result and is rejected by
-    the golden three-variable span polynomials of the VK family.
-    """
-    ci, x, y = _split_self(d, crossing, "type-1 smoothing")
-    flips = _one_sided(y)
-    comps = list(d.components)
-    comps[ci] = x + tuple(reversed(y))
-    return Diagram(_apply_flips(comps, flips))
+    """Type-1 smoothing: same component count, one segment reversed."""
+    fwd, back = type1_segments(d, crossing)
+    return _splice(d, d.components_of(crossing)[:1], fwd, back)
 
 
 def smooth2(d: Diagram, crossing: int) -> Diagram:
@@ -89,7 +127,7 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     old slot; the other loop is reversed and appended last.
     """
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
-    flips = _one_sided(x)
+    flips = one_sided(x)
     comps = list(d.components)
     comps[ci] = y
     comps.append(tuple(reversed(x)))
@@ -97,24 +135,7 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
 
 
 def smooth3(d: Diagram, crossing: int) -> Diagram:
-    """Type-3 smoothing: two components merge; result has one fewer.
-
-    The under passage's component is reversed into the over passage's
-    component; the merged loop sits at the smaller of the two slots.
-    """
-    (oc, oi), (uc, ui) = d.passage_positions(crossing)
-    if oc == uc:
-        raise PreconditionError(
-            f"type-3 smoothing requires a crossing of two components; "
-            f"crossing {crossing} is a self-crossing of component {oc + 1}"
-        )
-    s_over = _after(d.components[oc], oi)
-    s_under = _after(d.components[uc], ui)
-    # Every surviving crossing with exactly one passage on the reversed
-    # (under) component flips sign.
-    flips = _one_sided(s_under)
-    merged = s_over + tuple(reversed(s_under))
-    lo = min(oc, uc)
-    comps = [c for k, c in enumerate(d.components) if k not in (oc, uc)]
-    comps.insert(lo, merged)
-    return Diagram(_apply_flips(comps, flips))
+    """Type-3 smoothing: two components merge; result has one fewer, at
+    the smaller of the two slots."""
+    fwd, back = type3_segments(d, crossing)
+    return _splice(d, d.components_of(crossing), fwd, back)

@@ -73,6 +73,16 @@ def test_invariant_precondition_exit_3(capsys):
     assert "knot diagram" in err
 
 
+@pytest.mark.parametrize("code", ["0", "O1+U1+", "K431"])
+@pytest.mark.parametrize("spec", ["ftilde(1,0,1)", "ftilde(1,-2,0)"])
+def test_ftilde_nonpositive_k_exit_3(capsys, code, spec):
+    """k is the n of ftilde's flat spans, so k <= 0 is rejected on every
+    knot, including one without crossings."""
+    status, out, err = run(capsys, "invariant", "--inv", spec, code)
+    assert (status, out) == (3, "")
+    assert err.strip() == "precondition violated: the (n,k)-span requires n > 0"
+
+
 def test_smooth_subcommand(capsys):
     code, out, _ = run(capsys, "smooth", "--type", "3", "--at", "1", "HOPF")
     assert code == 0
