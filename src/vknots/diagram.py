@@ -44,6 +44,7 @@ __all__ = [
     "crossing_change",
     "reverse_component",
     "reorder_components",
+    "crossing_groups",
     "flat_key",
 ]
 
@@ -278,6 +279,18 @@ def reverse_component(d: Diagram, i: int) -> Diagram:
             )
         )
     return Diagram(tuple(new_components))
+
+
+def crossing_groups(d: Diagram) -> dict[tuple[int, ...], set[int]]:
+    """Crossing ids by the 0-based components they lie on, in one pass over
+    the crossing table: ``(i,)`` holds the self-crossings of component i and
+    ``(i, j)``, i < j, the crossings joining i and j.  A component or pair
+    without crossings has no entry."""
+    groups: dict[tuple[int, ...], set[int]] = {}
+    for cid, (oc, _, uc, _, _) in d._table.items():
+        key = (oc,) if oc == uc else (min(oc, uc), max(oc, uc))
+        groups.setdefault(key, set()).add(cid)
+    return groups
 
 
 def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:

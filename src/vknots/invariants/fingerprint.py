@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diagram import Diagram, reverse_component
+from ..diagram import Diagram, crossing_groups, reverse_component
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
 from .spans import fspan_window, linking_numbers
@@ -51,16 +51,12 @@ class Fingerprint:
         return repr(self.data)
 
 
-def _sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
-    """Delete all components outside ``keep`` (0-based, order preserved),
-    dropping every crossing that touches a deleted component."""
-    kept = set(keep)
-    dropped_crossings = {
-        c for c in d.crossing_ids()
-        if not set(d.components_of(c)) <= kept
-    }
+def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> Diagram:
+    """The components in ``keep`` (0-based, order preserved) with only the
+    crossings in ``kept``, which must be every crossing that lies on kept
+    components alone."""
     return Diagram(tuple(
-        tuple(p for p in d.components[ci] if p.crossing not in dropped_crossings)
+        tuple(p for p in d.components[ci] if p.crossing in kept)
         for ci in keep
     ))
 
@@ -105,13 +101,23 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
     if n == 1:
         data.append(_knot_vector(d, window))
     else:
+        # A sum over no crossings is zero: a component without
+        # self-crossings and a pair without joining crossings get zero
+        # vectors, with no sublink built.
+        groups = crossing_groups(d)
         for ci in range(n):
-            data.append(("component", ci + 1,
-                         _knot_vector(_sublink(d, (ci,)), window)))
+            vec = ("dj", (0,) * window, "djnm", (0,) * window ** 2)
+            if (ci,) in groups:
+                vec = _knot_vector(_sublink(d, (ci,), groups[ci,]), window)
+            data.append(("component", ci + 1, vec))
         for i in range(n):
             for j in range(i + 1, n):
-                data.append(("pair", i + 1, j + 1,
-                             _pair_vector(_sublink(d, (i, j)), window)))
+                vec = ("span", 0, "fspan", (0,) * (window * (window + 1)))
+                if (i, j) in groups:
+                    kept = groups[i, j].union(groups.get((i,), ()),
+                                              groups.get((j,), ()))
+                    vec = _pair_vector(_sublink(d, (i, j), kept), window)
+                data.append(("pair", i + 1, j + 1, vec))
     if depth > 0:
         for i in range(1, n + 1):
             buckets = restricted_flatsum_fingerprint(

@@ -227,6 +227,11 @@ class MoveSites:
 # -- application --------------------------------------------------------
 
 
+def _at(d: Diagram, ci: int, pos: int) -> bool:
+    """Whether position pos of component ci is a passage of ``d``."""
+    return 0 <= ci < len(d.components) and 0 <= pos < len(d.components[ci])
+
+
 def _without(d: Diagram, strands) -> Diagram:
     """``d`` without the passages pos, pos+1 of each (comp, pos) strand."""
     gone = {(ci, i) for ci, pos in strands
@@ -237,11 +242,13 @@ def _without(d: Diagram, strands) -> Diagram:
 
 def _with(d: Diagram, runs, stale: str) -> Diagram:
     """``d`` with each (comp, gap, passages) run spliced in before position
-    gap of its component, runs at one gap in list order; a gap past its
-    component's end raises ``StaleMoveError(stale)``."""
+    gap of its component, runs at one gap in list order; a gap off the
+    diagram (no such component, or not in 0..len) raises
+    ``StaleMoveError(stale)``."""
     comps = list(d.components)
-    if any(gap > len(comps[ci]) for ci, gap, _ in runs):
-        raise StaleMoveError(stale)
+    for ci, gap, _ in runs:
+        if not (0 <= ci < len(comps) and 0 <= gap <= len(comps[ci])):
+            raise StaleMoveError(stale)
     # Descending gaps keep the gaps still to fill in place; the stable sort
     # of the reversed runs puts the later of two tied runs in first.
     for ci, gap, run in sorted(reversed(runs), key=lambda r: r[1], reverse=True):
@@ -250,21 +257,24 @@ def _with(d: Diagram, runs, stale: str) -> Diagram:
 
 
 def apply_move(d: Diagram, m: MoveSite) -> Diagram:
-    """Apply a site obtained from ``enumerate_moves`` on the same diagram."""
+    """Apply a site obtained from ``enumerate_moves`` on the same diagram; a
+    site whose location is off ``d`` or no longer a site of its kind raises
+    ``StaleMoveError``."""
     if m.kind == "R1-delete":
-        if not _kink(d, *m.location):
+        if not (_at(d, *m.location) and _kink(d, *m.location)):
             raise StaleMoveError(f"no R1 pair at {m.location}")
         return _without(d, [m.location])
 
     if m.kind == "R2-delete":
-        if not _bigon(d, *m.location):
+        if not (_at(d, *m.location[:2]) and _at(d, *m.location[2:])
+                and _bigon(d, *m.location)):
             raise StaleMoveError(f"no R2 pair at {m.location}")
         return _without(d, [m.location[:2], m.location[2:]])
 
     if m.kind == "R3":
         trio = []
         for ci, pos in m.location:
-            if (run := _run(d, ci, pos)) is None:
+            if not _at(d, ci, pos) or (run := _run(d, ci, pos)) is None:
                 raise StaleMoveError(f"no R3 run at {(ci, pos)}")
             trio.append(run)
         if not _triangle(d, trio):

@@ -18,6 +18,8 @@ from vknots import (
 )
 from vknots.cli import main as cli_main
 from vknots.invariants import (
+    DEFAULT_DEPTH,
+    DEFAULT_WINDOW,
     FNMK_VARS,
     FTILDE_VARS,
     affine_index_poly,
@@ -46,7 +48,7 @@ from vknots.invariants import (
 )
 from vknots.labeling import index_map
 from vknots.laurent import LaurentPoly
-from vknots.moves import apply_move, enumerate_moves, kinds_within
+from vknots.moves import apply_move, enumerate_moves, kinds_within, walk
 from vknots.smoothing import smooth1, smooth2
 from conftest import named, random_chord_diagram
 
@@ -229,6 +231,31 @@ def test_criterion_7_move_invariance():
     assert elapsed < 300.0, f"criterion 7 took {elapsed:.1f}s"
     _ok(f"criterion 7 (move invariance, {len(diagrams)} walks x 50 steps, "
         f"{elapsed:.0f} s)")
+
+
+def test_criterion_7_bsums_at_cli_defaults():
+    """Criterion 7's B-sum half at the command line's defaults: every
+    bsum(i) and bflat(i) comparable value at depth 2 and window 3 stays
+    equal to its start value along short seeded walks."""
+    depth, window = DEFAULT_DEPTH, DEFAULT_WINDOW  # 2 and 3
+    t0 = time.perf_counter()
+    rng = random.Random(20261018)
+    failures, steps = [], 0
+    for w in range(20):
+        d = random_chord_diagram(rng, rng.randint(1, 4), 1 + w % 2)
+        specs = [(n, {"i": i}) for i in range(1, d.n_components + 1)
+                 for n in ("bsum", "bflat")]
+        base = [comparable_invariant(n, d, p, depth, window) for n, p in specs]
+        for step, cur in enumerate(walk(d, 10, rng.randrange(2**31), 5), 1):
+            steps += 1
+            for (n, p), want in zip(specs, base):
+                if comparable_invariant(n, cur, p, depth, window) != want:
+                    failures.append((w, step, n, p, serialize(cur)))
+    elapsed = time.perf_counter() - t0
+    assert not failures, failures[:3]
+    assert steps >= 150
+    _ok(f"criterion 7 at depth {depth}, window {window} (20 walks, {steps} steps, "
+        f"{elapsed:.1f} s)")
 
 
 def test_criterion_8_flatness():

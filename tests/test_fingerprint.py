@@ -1,0 +1,103 @@
+"""Fingerprints against an oracle that builds every sublink.
+
+The oracle is the fingerprint as it was before crossing-free components
+and pairs got zero vectors without a sublink: every component and every
+pair is cut out with its own crossing scan and measured, at every depth of
+the recursion.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vknots import Diagram, Passage, parse, reverse_component, serialize
+from vknots.invariants import b_flat_sum, fingerprint
+from vknots.invariants.fingerprint import _knot_vector, _pair_vector
+from conftest import named
+
+
+def _oracle_sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
+    kept = set(keep)
+    dropped = {c for c in d.crossing_ids() if not set(d.components_of(c)) <= kept}
+    return Diagram(tuple(
+        tuple(p for p in d.components[ci] if p.crossing not in dropped)
+        for ci in keep
+    ))
+
+
+def _oracle_kink_classes(d: Diagram, i: int) -> tuple[Diagram, Diagram]:
+    comps = list(reverse_component(d, i).components)
+    moved = comps[i - 1]
+    comps[i - 1] = ()
+    return Diagram(d.components + ((),)), Diagram(tuple(comps) + (moved,))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(d: Diagram, depth: int, window: int) -> tuple:
+    n = d.n_components
+    data: list = [("ncomp", n)]
+    if n == 1:
+        data.append(_knot_vector(d, window))
+    else:
+        for ci in range(n):
+            data.append(("component", ci + 1,
+                         _knot_vector(_oracle_sublink(d, (ci,)), window)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                data.append(("pair", i + 1, j + 1,
+                             _pair_vector(_oracle_sublink(d, (i, j)), window)))
+    if depth > 0:
+        for i in range(1, n + 1):
+            acc: dict = {}
+            for _, coef, rep in b_flat_sum(d, i).terms:
+                key = _oracle(rep, depth - 1, window)
+                acc[key] = acc.get(key, 0) + coef
+            drop = {_oracle(x, depth - 1, window) for x in _oracle_kink_classes(d, i)}
+            buckets = sorted(((key, total) for key, total in acc.items() if total != 0),
+                             key=lambda t: repr(t[0]))
+            data.append(("bflat", i, tuple(b for b in buckets if b[0] not in drop)))
+    return tuple(data)
+
+
+@st.composite
+def diagrams(draw):
+    """0-8 chords on 1-4 components; each passage's component is drawn, so
+    empty components, components without self-crossings and pairs without
+    joining crossings all occur."""
+    n = draw(st.integers(1, 4))
+    chords = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((1, -1))),
+        max_size=8))
+    comps: list[list[Passage]] = [[] for _ in range(n)]
+    for cid, (oc, uc, sign) in enumerate(chords, 1):
+        for ci, strand in ((oc, "O"), (uc, "U")):
+            comps[ci].insert(draw(st.integers(0, len(comps[ci]))), Passage(cid, strand, sign))
+    return Diagram(tuple(map(tuple, comps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams(), st.integers(0, 1), st.integers(1, 3))
+def test_fingerprint_equals_all_sublink_oracle(d, depth, window):
+    assert fingerprint(d, depth, window).data == _oracle(d, depth, window)
+
+
+def _with_unknot(name: str) -> Diagram:
+    return Diagram(named(name).components + ((),))
+
+
+@pytest.mark.parametrize("d", [
+    _with_unknot("KISHINO"),
+    _with_unknot("HOPF"),
+    named("HOPF"),
+    parse("O1+O2+U1+U2+;O3-;U3-"),
+    parse("O1+O2+U1+U2+O4+U5-;O3-U4+;U3-O5-"),
+    parse("O2-O4+O3+;O1+U3+U4+U1+U2-;0"),
+    Diagram(((), named("KISHINO").components[0], ())),
+], ids=lambda d: serialize(d))
+@pytest.mark.parametrize("window", [1, 3])
+def test_depth_two_fingerprints_equal_oracle(d, window):
+    assert fingerprint(d, 2, window).data == _oracle(d, 2, window)

@@ -16,6 +16,11 @@ from vknots.smoothing import smooth2
 from conftest import random_knot, walk_corpus
 
 
+def _within(d, comps):
+    """The crossings of d that lie on the 0-based components comps alone."""
+    return {c for c in d.crossing_ids() if set(d.components_of(c)) <= comps}
+
+
 def test_flat_sum_reduces_by_key(vtref):
     a = smooth2(vtref, 1)
     s = flat_sum([(a, 1), (a, 2), (a, -3)])
@@ -69,7 +74,8 @@ def test_kishino_linked_third_component(kishino):
     for c in self_crossings(k1, 2):
         for dd in (smooth2(k1, c), smooth2(crossing_change(k1, c), c)):
             spans = tuple(
-                linking_numbers(_sublink(dd, (i, 2))).span for i in (0, 1)
+                linking_numbers(_sublink(dd, (i, 2), _within(dd, {i, 2}))).span
+                for i in (0, 1)
             )
             patterns.append(spans)
     assert len(set(patterns)) >= 2
@@ -118,5 +124,5 @@ def test_fingerprint_component_count(unknot, hopf):
 
 
 def test_sublink_extraction(hopf):
-    assert serialize(_sublink(hopf, (0,))) == "0"
-    assert serialize(_sublink(hopf, (0, 1))) == serialize(hopf)
+    assert serialize(_sublink(hopf, (0,), _within(hopf, {0}))) == "0"
+    assert serialize(_sublink(hopf, (0, 1), _within(hopf, {0, 1}))) == serialize(hopf)

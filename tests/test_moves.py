@@ -77,6 +77,47 @@ def test_stale_site_rejected(vtref):
         apply_move(gone, site)
 
 
+_KNOT = "U1+O2+U2+O1+"  # one component of four passages
+_WITH_EMPTY = "O1+U1+;0"  # a kink and an empty component
+
+
+@pytest.mark.parametrize("code, site", [
+    # a component that is not there
+    (_KNOT, MoveSite("R1-delete", (1, 0))),
+    (_KNOT, MoveSite("R2-delete", (0, 0, 3, 0))),
+    (_KNOT, MoveSite("R3", ((0, 0), (0, 2), (5, 0)))),
+    (_KNOT, MoveSite("R1-insert", (2, 0), (1, "O"))),
+    (_KNOT, MoveSite("R2-insert", (0, 0, 4, 0), (1, "par"))),
+    # a position or gap past the end
+    (_KNOT, MoveSite("R1-delete", (0, 4))),
+    (_KNOT, MoveSite("R2-delete", (0, 9, 0, 0))),
+    (_KNOT, MoveSite("R3", ((0, 0), (0, 2), (0, 8)))),
+    (_KNOT, MoveSite("R1-insert", (0, 5), (1, "O"))),
+    (_KNOT, MoveSite("R2-insert", (0, 0, 0, 5), (1, "par"))),
+    # a negative position or gap, which must not count from the end
+    (_KNOT, MoveSite("R1-delete", (0, -1))),
+    (_KNOT, MoveSite("R2-delete", (0, -1, 0, 1))),
+    (_KNOT, MoveSite("R3", ((0, -1), (0, 1), (0, 2)))),
+    (_KNOT, MoveSite("R1-insert", (0, -1), (1, "O"))),
+    (_KNOT, MoveSite("R2-insert", (0, 0, 0, -2), (1, "anti"))),
+    # a location on an empty component
+    (_WITH_EMPTY, MoveSite("R1-delete", (1, 0))),
+    (_WITH_EMPTY, MoveSite("R2-delete", (1, 0, 0, 0))),
+    (_WITH_EMPTY, MoveSite("R3", ((1, 0), (0, 0), (0, 1)))),
+], ids=lambda v: v if isinstance(v, str) else f"{v.kind}@{v.location}")
+def test_location_off_the_diagram_is_stale(code, site):
+    with pytest.raises(StaleMoveError):
+        apply_move(parse(code), site)
+
+
+def test_every_listed_site_applies():
+    rng = random.Random(17)
+    for _ in range(100):
+        d = random_chord_diagram(rng, rng.randint(0, 5), rng.randint(1, 3))
+        for m in enumerate_moves(d):
+            assert apply_move(d, m).n_crossings == d.n_crossings + m.crossing_delta
+
+
 def test_walk_deterministic(vtref):
     a = random_walk(vtref, 30, 7, 10)
     b = random_walk(vtref, 30, 7, 10)
@@ -332,10 +373,11 @@ def test_r3_sites_match_pairwise_oracle(vtref):
     assert refused_overlaps > 0
 
 
-# sha256 of _contract_digest(), recorded before the rules of moves.py were
-# restated as predicates; perfbench's input digests and criterion 7's corpus
-# are built from these site lists and walks.
-_CONTRACT_SHA256 = "6ffc178d241b8e319fd2a1ee073c46bba8d3709b97714020832b2540f1d37454"
+# sha256 digests of _contract_digests(): the site lists and seeded walks,
+# from which perfbench's input digests and criterion 7's corpus are built,
+# and the outcomes of applying sites and random locations.
+_SITES_AND_WALKS_SHA256 = "cc997dc1c610b8ba06fceb54969aa6feaa14bbc0d45686d425e45931c8da82ff"
+_OUTCOMES_SHA256 = "2346f3b86f408808917f7295febf0c9f0bad5202ee0bc8b72f4291b9b5b04e39"
 
 
 def _outcome(d, m):
@@ -343,17 +385,16 @@ def _outcome(d, m):
         return serialize(apply_move(d, m))
     except VknotsError as exc:
         return f"{type(exc).__name__}: {exc}"
-    except (IndexError, ZeroDivisionError) as exc:  # locations off the diagram
-        return type(exc).__name__
 
 
-def _contract_digest():
-    """Every site list, the outcome of applying its deletes/R3 and every 7th
-    site, of stale sites from the previous diagram and of random R1/R2-delete
-    and R3 locations, and three seeded walks, over 200 random diagrams of
-    0-6 chords on 1-3 components."""
+def _contract_digests():
+    """Over 200 random diagrams of 0-6 chords on 1-3 components: a digest of
+    every site list and three seeded walks, and one of the outcomes of
+    applying its deletes/R3 and every 7th site, stale sites from the
+    previous diagram and random R1/R2-delete and R3 locations."""
     rng = random.Random(606)
     h = hashlib.sha256()
+    out = hashlib.sha256()
     prev = []
     for _ in range(200):
         d = random_chord_diagram(rng, rng.randint(0, 6), rng.randint(1, 3))
@@ -368,14 +409,15 @@ def _contract_digest():
         for m in sites:
             h.update(f"{m.kind} {m.location} {m.variant}\n".encode())
         for m in picks + prev + probes:
-            h.update(f"{_outcome(d, m)}\n".encode())
+            out.update(f"{_outcome(d, m)}\n".encode())
         for _ in range(3):
             for cur in walk(d, 12, rng.randrange(2**31), 7):
                 h.update(f"{serialize(cur)}\n".encode())
         h.update(b"--\n")
+        out.update(b"--\n")
         prev = picks[::3]
-    return h.hexdigest()
+    return h.hexdigest(), out.hexdigest()
 
 
 def test_sites_applications_and_seeded_walks_are_pinned():
-    assert _contract_digest() == _CONTRACT_SHA256
+    assert _contract_digests() == (_SITES_AND_WALKS_SHA256, _OUTCOMES_SHA256)
