@@ -17,13 +17,20 @@ Text grammar (whitespace ignored)::
 
 All values here are immutable; every operation returns a new Diagram.
 
-A Diagram builds its crossing table once, in the single validating pass of
-its constructor: crossing id -> ``(over component, over position, under
-component, under position, sign)``, positions 0-based.  Every per-crossing
-query (``sign``, ``passage_positions``, ``components_of``,
-``is_self_crossing``, ``crossing_ids``) reads that table in O(1) instead of
-scanning the code.  The hash of the components is computed once, on first
-use.
+A ``Passage`` is a plain record and checks nothing; ``Diagram(...)`` checks
+every passage (strand, sign, positive id) and the pairing of each
+crossing's two passages, and builds its crossing table once, in that single
+validating pass of its constructor: crossing id -> ``(over component, over
+position, under component, under position, sign)``, positions 0-based.
+Every per-crossing query (``sign``, ``passage_positions``,
+``components_of``, ``is_self_crossing``, ``crossing_ids``) reads that table
+in O(1) instead of scanning the code.  The hash of the components is
+computed once, on first use.
+
+Reversing a segment of a Gauss code flips the sign of every crossing with
+exactly one passage in it.  That rule is stated once, here: ``one_sided``
+names the crossings, ``flip_signs`` negates them.  ``reverse_component``,
+the smoothings and the kink classes of fingerprints all use the pair.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ __all__ = [
     "mirror",
     "crossing_change",
     "reverse_component",
+    "component_index",
+    "one_sided",
+    "flip_signs",
     "reorder_components",
     "crossing_groups",
     "flat_key",
@@ -54,19 +64,12 @@ UNDER = "U"
 
 @dataclass(frozen=True, order=True, slots=True)
 class Passage:
-    """One visit of a strand to a classical crossing."""
+    """One visit of a strand to a classical crossing; ``Diagram(...)``
+    checks its fields."""
 
     crossing: int
     strand: str  # OVER or UNDER
     sign: int  # +1 or -1
-
-    def __post_init__(self):
-        if self.strand not in (OVER, UNDER):
-            raise ValidationError(f"bad strand flag {self.strand!r}")
-        if self.sign not in (1, -1):
-            raise ValidationError(f"bad sign {self.sign!r}")
-        if self.crossing < 1:
-            raise ValidationError(f"crossing id must be positive, got {self.crossing}")
 
     @property
     def over(self) -> bool:
@@ -103,11 +106,14 @@ class Diagram:
                     unpaired[p.crossing] = (ci, pi, p)
                     continue
                 ac, ai, a = first
-                if a.strand == p.strand or a.sign != p.sign:
+                if a.sign != p.sign or p.sign not in (1, -1) or p.crossing < 1:
                     _reject(self.components)
-                table[p.crossing] = (
-                    (ac, ai, ci, pi, p.sign) if a.strand == OVER else (ci, pi, ac, ai, p.sign)
-                )
+                if a.strand == OVER and p.strand == UNDER:
+                    table[p.crossing] = (ac, ai, ci, pi, p.sign)
+                elif a.strand == UNDER and p.strand == OVER:
+                    table[p.crossing] = (ci, pi, ac, ai, p.sign)
+                else:
+                    _reject(self.components)
         if unpaired:
             _reject(self.components)
         object.__setattr__(self, "_table", table)
@@ -159,11 +165,17 @@ class Diagram:
 
 
 def _reject(components: tuple[Component, ...]) -> None:
-    """Raise the ValidationError of an invalid code, naming the faulty
-    crossing met first along the code."""
+    """Raise the ValidationError of an invalid code: the first malformed
+    passage along the code, else the faulty crossing met first."""
     seen: dict[int, list[Passage]] = {}
     for comp in components:
         for p in comp:
+            if p.strand not in (OVER, UNDER):
+                raise ValidationError(f"bad strand flag {p.strand!r}")
+            if p.sign not in (1, -1):
+                raise ValidationError(f"bad sign {p.sign!r}")
+            if p.crossing < 1:
+                raise ValidationError(f"crossing id must be positive, got {p.crossing}")
             seen.setdefault(p.crossing, []).append(p)
     for cid, passages in seen.items():
         if len(passages) != 2:
@@ -256,29 +268,42 @@ def crossing_change(d: Diagram, crossing: int) -> Diagram:
     )
 
 
-def reverse_component(d: Diagram, i: int) -> Diagram:
-    """Reverse orientation of component ``i`` (1-based).
-
-    A crossing sign flips iff exactly one of its two passages lies on the
-    reversed component.
-    """
+def component_index(d: Diagram, i: int) -> int:
+    """The 0-based slot of component ``i`` (1-based) of ``d``."""
     if not 1 <= i <= d.n_components:
         raise PreconditionError(f"component index {i} out of range 1..{d.n_components}")
-    target = i - 1
-    flips = {
-        cid for cid, (oc, _, uc, _, _) in d._table.items()
-        if (oc == target) != (uc == target)
-    }
-    new_components = []
-    for ci, comp in enumerate(d.components):
-        seq = tuple(reversed(comp)) if ci == target else comp
-        new_components.append(
-            tuple(
-                Passage(p.crossing, p.strand, -p.sign if p.crossing in flips else p.sign)
-                for p in seq
-            )
-        )
-    return Diagram(tuple(new_components))
+    return i - 1
+
+
+def one_sided(segment) -> set[int]:
+    """Crossings with exactly one passage inside a reversed segment: the
+    crossings whose sign the reversal flips."""
+    flips = set()
+    for p in segment:
+        c = p.crossing
+        if c in flips:
+            flips.remove(c)
+        else:
+            flips.add(c)
+    return flips
+
+
+def flip_signs(components, flips) -> tuple:
+    """``components`` with the sign of every crossing in ``flips`` negated."""
+    return tuple(
+        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
+              for p in comp)
+        for comp in components
+    )
+
+
+def reverse_component(d: Diagram, i: int) -> Diagram:
+    """Reverse orientation of component ``i`` (1-based); the crossings
+    joining it to the other components flip sign."""
+    t = component_index(d, i)
+    comps = list(d.components)
+    comps[t] = comps[t][::-1]
+    return Diagram(flip_signs(comps, one_sided(d.components[t])))
 
 
 def crossing_groups(d: Diagram) -> dict[tuple[int, ...], set[int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diagram import Diagram, crossing_groups, reverse_component
+from ..diagram import Diagram, component_index, crossing_groups, flip_signs, one_sided
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
 from .spans import fspan_window, linking_numbers
@@ -80,13 +80,12 @@ def kink_class_fingerprints(d: Diagram, i: int, depth: int,
     """Fingerprints of the two classes a kink smoothing on component i can
     produce: the diagram with an unknot appended, and the diagram with
     component i replaced by an unknot and its reverse appended."""
+    t = component_index(d, i)
     with_circle = Diagram(d.components + ((),))
-    rev = reverse_component(d, i)
-    comps = list(rev.components)
-    moved = comps[i - 1]
-    comps[i - 1] = ()
-    comps.append(moved)
-    swapped = Diagram(tuple(comps))
+    comps = list(d.components)
+    comps[t] = ()
+    comps.append(d.components[t][::-1])
+    swapped = Diagram(flip_signs(comps, one_sided(d.components[t])))
     return frozenset(
         fingerprint(x, depth, window).data for x in (with_circle, swapped)
     )

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..diagram import Diagram, FlatKey, crossing_change, flat_key
-from ..errors import PreconditionError
+from ..diagram import (
+    Diagram, FlatKey, component_index, crossing_change, crossing_groups, flat_key,
+)
 from ..smoothing import smooth2
 
 __all__ = ["FlatSum", "flat_sum", "b_sum", "b_flat_sum", "self_crossings"]
@@ -30,14 +31,6 @@ class FlatSum:
 
     def coefficients(self) -> dict[FlatKey, int]:
         return {key: coef for key, coef, _ in self.terms}
-
-    def __add__(self, other: "FlatSum") -> "FlatSum":
-        pairs = [(rep, coef) for _, coef, rep in self.terms]
-        pairs += [(rep, coef) for _, coef, rep in other.terms]
-        return flat_sum(pairs)
-
-    def __neg__(self) -> "FlatSum":
-        return FlatSum(tuple((k, -c, r) for k, c, r in self.terms))
 
     def render(self) -> str:
         if not self.terms:
@@ -72,12 +65,7 @@ def flat_sum(pairs: Iterable[tuple[Diagram, int]]) -> FlatSum:
 
 def self_crossings(d: Diagram, i: int) -> tuple[int, ...]:
     """Crossings with both passages on component i (1-based)."""
-    if not 1 <= i <= d.n_components:
-        raise PreconditionError(f"component index {i} out of range 1..{d.n_components}")
-    return tuple(
-        c for c in d.crossing_ids()
-        if d.components_of(c) == (i - 1, i - 1)
-    )
+    return tuple(sorted(crossing_groups(d).get((component_index(d, i),), ())))
 
 
 def b_sum(d: Diagram, i: int) -> FlatSum:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from ..diagram import Diagram
+from ..diagram import OVER, Diagram, crossing_groups
 from ..errors import PreconditionError
 from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
@@ -63,11 +63,9 @@ def _require_two_components(d: Diagram, what: str) -> None:
 
 def _inter_crossings(d: Diagram):
     """(crossing, first_component_is_over) for crossings joining the two
-    components of a 2-component diagram."""
-    for c in d.crossing_ids():
-        oc, uc = d.components_of(c)
-        if oc != uc:
-            yield c, oc == 0
+    components of a 2-component diagram, in crossing-id order."""
+    over = {p.crossing for p in d.components[0] if p.strand == OVER}
+    return [(c, c in over) for c in sorted(crossing_groups(d).get((0, 1), ()))]
 
 
 def linking_numbers(d: Diagram) -> LinkingNumbers:

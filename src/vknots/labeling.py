@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .diagram import OVER, Diagram
+from .diagram import OVER, Diagram, one_sided
 from .errors import InconsistentLabelingError, PreconditionError
 from .memo import memo
-from .smoothing import one_sided
 
 __all__ = [
     "ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map",

@@ -12,10 +12,11 @@ All three delete one chord and reconnect the strands:
   merged component takes the smaller slot.
 
 Reversing a segment flips the sign of every crossing with exactly one
-passage inside it.  Which segment survives/reverses is pinned by golden
-values, not by taste: the type-1 and type-2 choices below reproduce the
-published smoothed d-writhes of knot 4.31 and the three-variable span
-polynomials of the VK family, and swapping either choice breaks them.
+passage inside it (``diagram.one_sided``, ``diagram.flip_signs``).  Which
+segment survives/reverses is pinned by golden values, not by taste: the
+type-1 and type-2 choices below reproduce the published smoothed d-writhes
+of knot 4.31 and the three-variable span polynomials of the VK family, and
+swapping either choice breaks them.
 Changing the smoothed crossing before a type-3 smoothing reverses the
 merged knot's orientation, which is what makes the flat span machinery
 work.
@@ -31,12 +32,12 @@ Diagram built.
 
 from __future__ import annotations
 
-from .diagram import Diagram, Passage
+from .diagram import Diagram, flip_signs, one_sided
 from .errors import PreconditionError
 from .memo import memo
 
 __all__ = [
-    "smooth1", "smooth2", "smooth3", "type1_segments", "type3_segments", "one_sided",
+    "smooth1", "smooth2", "smooth3", "type1_segments", "type3_segments",
 ]
 
 
@@ -84,33 +85,12 @@ def type3_segments(d: Diagram, crossing: int) -> tuple:
     return _after(d.components[oc], oi), _after(d.components[uc], ui)
 
 
-def one_sided(segment) -> set[int]:
-    """Crossings with exactly one passage inside a reversed segment: the
-    crossings whose sign the reversal flips."""
-    flips = set()
-    for p in segment:
-        c = p.crossing
-        if c in flips:
-            flips.remove(c)
-        else:
-            flips.add(c)
-    return flips
-
-
-def _apply_flips(components, flips) -> tuple:
-    return tuple(
-        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
-              for p in comp)
-        for comp in components
-    )
-
-
 def _splice(d: Diagram, slots, fwd, back) -> Diagram:
     """``d`` with the components at ``slots`` replaced by one component,
     ``fwd + reversed(back)``, at the smallest of those slots."""
     comps = [c for k, c in enumerate(d.components) if k not in slots]
     comps.insert(min(slots), fwd + tuple(reversed(back)))
-    return Diagram(_apply_flips(comps, one_sided(back)))
+    return Diagram(flip_signs(comps, one_sided(back)))
 
 
 @memo
@@ -127,11 +107,10 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     old slot; the other loop is reversed and appended last.
     """
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
-    flips = one_sided(x)
     comps = list(d.components)
     comps[ci] = y
     comps.append(tuple(reversed(x)))
-    return Diagram(_apply_flips(comps, flips))
+    return Diagram(flip_signs(comps, one_sided(x)))
 
 
 def smooth3(d: Diagram, crossing: int) -> Diagram:

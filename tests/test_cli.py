@@ -35,6 +35,12 @@ def test_parse_error_exit_2(capsys):
     assert "mismatched signs" in err
 
 
+def test_parse_nonpositive_id_exit_2(capsys):
+    code, _, err = run(capsys, "parse", "O0+U0+")
+    assert code == 2
+    assert "crossing id must be positive, got 0" in err
+
+
 def test_invariant_aip_golden(capsys):
     code, out, _ = run(capsys, "invariant", "--inv", "aip", "O1+O2+U1+U2+")
     assert code == 0

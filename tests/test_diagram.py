@@ -16,6 +16,7 @@ from vknots import (
     reverse_component,
     serialize,
 )
+from vknots.invariants import kink_class_fingerprints
 from conftest import random_chord_diagram, random_knot
 
 import random
@@ -70,10 +71,27 @@ def test_parse_rejects_invalid(bad):
     ("O2+U2-;O1+U1+O1+", "crossing 2 has mismatched signs"),
     ("O3+O1+U1+", "crossing 3 occurs 1 time(s), expected 2"),
     ("U4-O4-;O2+", "crossing 2 occurs 1 time(s), expected 2"),
+    ("O0+U0+", "crossing id must be positive, got 0"),
+    # a malformed passage is reported before any pairing fault
+    ("O2+U2-;O0+U0+", "crossing id must be positive, got 0"),
 ])
 def test_validation_messages(bad, message):
     with pytest.raises(ValidationError) as exc:
         parse(bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (Passage(1, "X", 1), Passage(1, "U", 1), "bad strand flag 'X'"),
+    (Passage(1, "O", 1), Passage(1, "X", 1), "bad strand flag 'X'"),
+    (Passage(1, "O", 2), Passage(1, "U", 2), "bad sign 2"),
+    (Passage(1, "O", 1), Passage(1, "U", 2), "bad sign 2"),
+    (Passage(0, "O", 1), Passage(0, "U", 1), "crossing id must be positive, got 0"),
+])
+def test_diagram_checks_each_passage(first, second, message):
+    # Passage itself checks nothing; the Diagram constructor does
+    with pytest.raises(ValidationError) as exc:
+        Diagram(((first, second),))
     assert str(exc.value) == message
 
 
@@ -170,6 +188,34 @@ def test_reverse_component_sign_rule(hopf, vtref):
     # both passages on it: sign kept
     rev = reverse_component(vtref, 1)
     assert rev.sign(1) == 1 and rev.sign(2) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 8), st.integers(1, 4))
+def test_reverse_component_matches_crossing_table_rule(seed, n_chords, n_components):
+    # Independent of one_sided: a crossing flips iff exactly one of its two
+    # passages lies on the reversed component, read off the crossing table.
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    for i in range(1, d.n_components + 1):
+        t = i - 1
+        rev = reverse_component(d, i)
+        assert rev.components[t] == tuple(
+            Passage(p.crossing, p.strand, rev.sign(p.crossing))
+            for p in reversed(d.components[t])
+        )
+        assert rev.components[:t] + rev.components[t + 1:] == tuple(
+            tuple(Passage(p.crossing, p.strand, rev.sign(p.crossing)) for p in comp)
+            for comp in d.components[:t] + d.components[t + 1:]
+        )
+        for cid in d.crossing_ids():
+            oc, uc = d.components_of(cid)
+            flips = (oc == t) != (uc == t)
+            assert rev.sign(cid) == (-d.sign(cid) if flips else d.sign(cid))
+    for i in (0, d.n_components + 1):
+        with pytest.raises(PreconditionError):
+            reverse_component(d, i)
+        with pytest.raises(PreconditionError):
+            kink_class_fingerprints(d, i, 0, 1)
 
 
 def test_reorder_components(hopf):
