@@ -51,6 +51,7 @@ __all__ = [
     "crossing_change",
     "reverse_component",
     "component_index",
+    "require_knot",
     "one_sided",
     "flip_signs",
     "reorder_components",
@@ -226,11 +227,8 @@ def parse(text: str) -> Diagram:
 
 
 def _min_rotation(comp: Component) -> Component:
-    if len(comp) <= 1:
-        return comp
     keys = [p._sort_key() for p in comp]
-    n = len(comp)
-    best = min(range(n), key=lambda r: [keys[(r + i) % n] for i in range(n)])
+    best = min(range(len(comp)), key=lambda r: keys[r:] + keys[:r])
     return comp[best:] + comp[:best]
 
 
@@ -273,6 +271,15 @@ def component_index(d: Diagram, i: int) -> int:
     if not 1 <= i <= d.n_components:
         raise PreconditionError(f"component index {i} out of range 1..{d.n_components}")
     return i - 1
+
+
+def require_knot(d: Diagram, what: str) -> None:
+    """Reject a diagram that is not a knot: ``what`` names the value asked
+    for."""
+    if d.n_components != 1:
+        raise PreconditionError(
+            f"{what} is defined for knot diagrams only (got {d.n_components} components)"
+        )
 
 
 def one_sided(segment) -> set[int]:

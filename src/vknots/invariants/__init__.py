@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..diagram import Diagram
+from ..errors import PreconditionError
 from .fingerprint import (
     DEFAULT_DEPTH,
     DEFAULT_WINDOW,
-    Fingerprint,
     fingerprint,
     flatsum_fingerprint,
     flatsum_nonzero,
@@ -66,7 +66,7 @@ __all__ = [
     "LinkingNumbers", "linking_numbers", "span_nk", "fspan_nk", "tilde_f",
     "over_under_weight", "smoothed_link_dwrithe_weight",
     "FlatSum", "flat_sum", "b_sum", "b_flat_sum", "self_crossings",
-    "Fingerprint", "fingerprint", "flatsum_fingerprint", "flatsum_nonzero",
+    "fingerprint", "flatsum_fingerprint", "flatsum_nonzero",
     "kink_class_fingerprints", "restricted_flatsum_fingerprint",
     "DEFAULT_WINDOW", "DEFAULT_DEPTH",
     "InvariantSpec", "REGISTRY", "compute_invariant", "comparable_invariant",
@@ -82,30 +82,23 @@ class InvariantSpec:
 
 
 REGISTRY: dict[str, InvariantSpec] = {
-    "jn": InvariantSpec("jn", ("n",), "knot", lambda d, n: writhe_n(d, n)),
-    "djn": InvariantSpec("djn", ("n",), "knot", lambda d, n: dwrithe(d, n)),
+    "jn": InvariantSpec("jn", ("n",), "knot", writhe_n),
+    "djn": InvariantSpec("djn", ("n",), "knot", dwrithe),
     "aip": InvariantSpec("aip", (), "knot", affine_index_poly),
-    "fpoly": InvariantSpec("fpoly", ("n",), "knot", lambda d, n: f_poly(d, n)),
-    "djnm": InvariantSpec("djnm", ("n", "m"), "knot",
-                          lambda d, n, m: dwrithe_nm(d, n, m)),
-    "fnmk": InvariantSpec("fnmk", ("n", "m", "k"), "knot",
-                          lambda d, n, m, k: f_poly_nmk(d, n, m, k)),
+    "fpoly": InvariantSpec("fpoly", ("n",), "knot", f_poly),
+    "djnm": InvariantSpec("djnm", ("n", "m"), "knot", dwrithe_nm),
+    "fnmk": InvariantSpec("fnmk", ("n", "m", "k"), "knot", f_poly_nmk),
     "lk": InvariantSpec("lk", (), "link2", linking_numbers),
     "span": InvariantSpec("span", (), "link2", lambda d: linking_numbers(d).span),
-    "spannk": InvariantSpec("spannk", ("n", "k"), "link2",
-                            lambda d, n, k: span_nk(d, n, k)),
-    "fspannk": InvariantSpec("fspannk", ("n", "k"), "link2",
-                             lambda d, n, k: fspan_nk(d, n, k)),
-    "ftilde": InvariantSpec("ftilde", ("n", "k", "m"), "knot",
-                            lambda d, n, k, m: tilde_f(d, n, k, m)),
-    "bsum": InvariantSpec("bsum", ("i",), "any", lambda d, i: b_sum(d, i)),
-    "bflat": InvariantSpec("bflat", ("i",), "any", lambda d, i: b_flat_sum(d, i)),
+    "spannk": InvariantSpec("spannk", ("n", "k"), "link2", span_nk),
+    "fspannk": InvariantSpec("fspannk", ("n", "k"), "link2", fspan_nk),
+    "ftilde": InvariantSpec("ftilde", ("n", "k", "m"), "knot", tilde_f),
+    "bsum": InvariantSpec("bsum", ("i",), "any", b_sum),
+    "bflat": InvariantSpec("bflat", ("i",), "any", b_flat_sum),
 }
 
 
 def _check_arity(spec: InvariantSpec, d: Diagram) -> None:
-    from ..errors import PreconditionError
-
     if spec.arity == "knot" and d.n_components != 1:
         raise PreconditionError(
             f"invariant {spec.name!r} needs a knot diagram "
@@ -121,8 +114,6 @@ def _check_arity(spec: InvariantSpec, d: Diagram) -> None:
 def compute_invariant(name: str, d: Diagram, params: dict):
     """Evaluate a registry invariant; returns int, LaurentPoly,
     LinkingNumbers, or FlatSum."""
-    from ..errors import PreconditionError
-
     if name not in REGISTRY:
         raise PreconditionError(f"unknown invariant {name!r}")
     spec = REGISTRY[name]

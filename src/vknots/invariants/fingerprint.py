@@ -20,8 +20,6 @@ to the nested B-sum data inside fingerprints for the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..diagram import Diagram, component_index, crossing_groups, flip_signs, one_sided
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
@@ -29,7 +27,6 @@ from .spans import fspan_window, linking_numbers
 from .writhes import dwrithe, dwrithe_nm
 
 __all__ = [
-    "Fingerprint",
     "fingerprint",
     "flatsum_fingerprint",
     "flatsum_nonzero",
@@ -41,14 +38,6 @@ __all__ = [
 
 DEFAULT_WINDOW = 3
 DEFAULT_DEPTH = 2
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    data: tuple
-
-    def render(self) -> str:
-        return repr(self.data)
 
 
 def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> Diagram:
@@ -87,14 +76,14 @@ def kink_class_fingerprints(d: Diagram, i: int, depth: int,
     comps.append(d.components[t][::-1])
     swapped = Diagram(flip_signs(comps, one_sided(d.components[t])))
     return frozenset(
-        fingerprint(x, depth, window).data for x in (with_circle, swapped)
+        fingerprint(x, depth, window) for x in (with_circle, swapped)
     )
 
 
 @memo
 def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
-                window: int = DEFAULT_WINDOW) -> Fingerprint:
-    """Flat invariant vector of an ordered oriented diagram."""
+                window: int = DEFAULT_WINDOW) -> tuple:
+    """Flat invariant vector of an ordered oriented diagram, as a tuple."""
     n = d.n_components
     data: list = [("ncomp", n)]
     if n == 1:
@@ -123,7 +112,7 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
                 b_flat_sum(d, i), d, i, depth - 1, window
             )
             data.append(("bflat", i, buckets))
-    return Fingerprint(tuple(data))
+    return tuple(data)
 
 
 def flatsum_fingerprint(s: FlatSum, depth: int = DEFAULT_DEPTH,
@@ -134,11 +123,11 @@ def flatsum_fingerprint(s: FlatSum, depth: int = DEFAULT_DEPTH,
     flat class lands in exactly one bucket, so equal sums give equal maps.
     Buckets whose coefficients cancel are dropped.
     """
-    acc: dict[Fingerprint, int] = {}
+    acc: dict[tuple, int] = {}
     for _, coef, rep in s.terms:
         fp = fingerprint(rep, depth, window)
         acc[fp] = acc.get(fp, 0) + coef
-    items = [(fp.data, total) for fp, total in acc.items() if total != 0]
+    items = [(fp, total) for fp, total in acc.items() if total != 0]
     items.sort(key=lambda t: repr(t[0]))
     return tuple(items)
 
@@ -147,13 +136,14 @@ def restricted_flatsum_fingerprint(s: FlatSum, d: Diagram, i: int,
                                    depth: int = DEFAULT_DEPTH,
                                    window: int = DEFAULT_WINDOW) -> tuple:
     """Bucket map of a B-sum over component i of d, with the two kink-class
-    buckets dropped; this form transfers across Reidemeister moves."""
+    buckets dropped; this form transfers across Reidemeister moves.  An
+    empty map has no bucket to drop, so its kink classes are not built."""
+    component_index(d, i)
+    buckets = flatsum_fingerprint(s, depth, window)
+    if not buckets:
+        return buckets
     drop = kink_class_fingerprints(d, i, depth, window)
-    return tuple(
-        (data, total)
-        for data, total in flatsum_fingerprint(s, depth, window)
-        if data not in drop
-    )
+    return tuple((fp, total) for fp, total in buckets if fp not in drop)
 
 
 def flatsum_nonzero(s: FlatSum, depth: int = DEFAULT_DEPTH,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from ..diagram import OVER, Diagram, crossing_groups
+from ..diagram import OVER, Diagram, crossing_groups, require_knot
 from ..errors import PreconditionError
 from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
@@ -156,11 +156,7 @@ def tilde_f(d: Diagram, n: int, k: int, m: int) -> LaurentPoly:
     vanishing (k,m) flat span.  Every crossing's v-exponent uses its own
     type-2 smoothing, including crossings outside T.
     """
-    if d.n_components != 1:
-        raise PreconditionError(
-            "the span polynomial is defined for knot diagrams only "
-            f"(got {d.n_components} components)"
-        )
+    require_knot(d, "the span polynomial")
     base = dwrithe(d, n)
     # k is the n of every (k,m) flat span below; checked here, so a knot
     # with no crossing rejects it too.

@@ -115,8 +115,7 @@ def nested_dwrithe(d: Diagram, n: int, ms: tuple[int, ...]) -> int:
     ``i_flat(d, sgn*ind*(A o smooth1), ind, m)``.  Depth one recovers the
     (n,m)-difference writhe.
     """
-    _require = d.n_components
-    if _require != 1:
+    if d.n_components != 1:
         raise PreconditionError("nested difference writhes are knot invariants")
     if not ms:
         return dwrithe(d, n)

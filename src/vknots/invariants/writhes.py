@@ -25,7 +25,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping
 
-from ..diagram import OVER, Diagram
+from ..diagram import OVER, Diagram, require_knot
 from ..errors import PreconditionError
 from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
@@ -50,13 +50,6 @@ __all__ = [
 AIP_VARS = ("t",)
 FPOLY_VARS = ("t", "l")
 FNMK_VARS = ("t", "l1", "l2")
-
-
-def _require_knot(d: Diagram, what: str) -> None:
-    if d.n_components != 1:
-        raise PreconditionError(
-            f"{what} is defined for knot diagrams only (got {d.n_components} components)"
-        )
 
 
 def crossing_poly(variables: tuple[str, ...], rows) -> LaurentPoly:
@@ -99,7 +92,7 @@ def difference(table: Mapping[int, int], n: int) -> int:
 
 def writhe_n(d: Diagram, n: int) -> int:
     """n-th writhe: signed count of crossings with index n (n != 0)."""
-    _require_knot(d, "the n-th writhe")
+    require_knot(d, "the n-th writhe")
     if n == 0:
         raise PreconditionError("the n-th writhe requires n != 0")
     return writhe_table(d).get(n, 0)
@@ -108,7 +101,7 @@ def writhe_n(d: Diagram, n: int) -> int:
 @memo
 def dwrithe(d: Diagram, n: int) -> int:
     """n-th difference writhe (n > 0); crossing-change invariant."""
-    _require_knot(d, "the difference writhe")
+    require_knot(d, "the difference writhe")
     if n <= 0:
         raise PreconditionError("the difference writhe requires n > 0")
     return difference(writhe_table(d), n)
@@ -116,7 +109,7 @@ def dwrithe(d: Diagram, n: int) -> int:
 
 def affine_index_poly(d: Diagram) -> LaurentPoly:
     """Sum of sign(c) * (t^index(c) - 1) over classical crossings."""
-    _require_knot(d, "the affine index polynomial")
+    require_knot(d, "the affine index polynomial")
     return crossing_poly(
         AIP_VARS, ((d.sign(c), ind, (), ()) for c, ind in index_map(d).items())
     )
@@ -134,7 +127,7 @@ def f_poly(d: Diagram, n: int) -> LaurentPoly:
     to sign) contribute ``sign*(t^ind - 1)*l^value``; the others contribute
     ``sign*(t^ind*l^value - l^base)``.
     """
-    _require_knot(d, "the F-polynomial")
+    require_knot(d, "the F-polynomial")
     if n <= 0:
         raise PreconditionError("the F-polynomial requires n > 0")
     base = dwrithe(d, n)
@@ -173,7 +166,7 @@ def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
     the symmetric sum is what survives crossing changes (and is what the
     flat I-function machinery produces).
     """
-    _require_knot(d, "the (n,m)-difference writhe")
+    require_knot(d, "the (n,m)-difference writhe")
     if n <= 0:
         raise PreconditionError("the (n,m)-difference writhe requires n > 0")
     if m == 0:
@@ -187,7 +180,7 @@ def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:
     A crossing sits in the exceptional set T when both its smoothed values
     match the diagram's own up to sign.
     """
-    _require_knot(d, "the generalized F-polynomial")
+    require_knot(d, "the generalized F-polynomial")
     base1 = dwrithe(d, n)
     base2 = dwrithe_nm(d, m, k)
     rows = []

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .diagram import OVER, Diagram, one_sided
+from .diagram import OVER, Diagram, one_sided, require_knot
 from .errors import InconsistentLabelingError, PreconditionError
 from .memo import memo
 
@@ -131,11 +131,7 @@ def index_map(d: Diagram) -> Mapping[int, int]:
     """Index of every crossing of a one-component diagram, in crossing-id
     order, as a read-only view (the memoised value is shared by every
     caller)."""
-    if d.n_components != 1:
-        raise PreconditionError(
-            "crossing index is defined for knot diagrams only "
-            f"(got {d.n_components} components)"
-        )
+    require_knot(d, "crossing index")
     return MappingProxyType(
         dict(sorted((c, ind) for c, _, ind in index_walk(d.components[0])))
     )

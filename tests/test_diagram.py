@@ -145,6 +145,34 @@ def test_serialize_parse_idempotent():
         assert serialize(parse(serialize(d))) == serialize(d)
 
 
+def _token_order(token):
+    """A passage token's rank read off its text: strand O < U, then id,
+    then sign + < -."""
+    return (token[0] == "U", int(token[1:-1]), token[-1] == "-")
+
+
+def _oracle_component_text(comp):
+    tokens = [p.token() for p in comp]
+    if not tokens:
+        return "0"
+    rotations = [tokens[r:] + tokens[:r] for r in range(len(tokens))]
+    return "".join(min(rotations, key=lambda toks: [_token_order(t) for t in toks]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 9), st.integers(1, 4),
+       st.lists(st.integers(0, 20), min_size=4, max_size=4))
+def test_serialize_matches_least_rotation_oracle(seed, n_chords, n_components, shifts):
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    text = serialize(d)
+    assert text == ";".join(_oracle_component_text(c) for c in d.components)
+    rotated = Diagram(tuple(
+        c[r % len(c):] + c[:r % len(c)] if c else c
+        for c, r in zip(d.components, shifts)
+    ))
+    assert serialize(rotated) == text
+
+
 def test_mirror_flips_everything(vtref):
     m = mirror(vtref)
     assert serialize(m) == "O1-O2-U1-U2-"

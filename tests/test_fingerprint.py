@@ -3,7 +3,8 @@
 The oracle is the fingerprint as it was before crossing-free components
 and pairs got zero vectors without a sublink: every component and every
 pair is cut out with its own crossing scan and measured, at every depth of
-the recursion.
+the recursion.  Its kink-restricted bucket maps always build the two kink
+classes and filter, also when the raw map is empty.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots import Diagram, Passage, parse, reverse_component, serialize
-from vknots.invariants import b_flat_sum, fingerprint
+from vknots.invariants import (
+    b_flat_sum,
+    b_sum,
+    fingerprint,
+    restricted_flatsum_fingerprint,
+)
 from vknots.invariants.fingerprint import _knot_vector, _pair_vector
 from conftest import named
 
@@ -52,15 +58,22 @@ def _oracle(d: Diagram, depth: int, window: int) -> tuple:
                              _pair_vector(_oracle_sublink(d, (i, j)), window)))
     if depth > 0:
         for i in range(1, n + 1):
-            acc: dict = {}
-            for _, coef, rep in b_flat_sum(d, i).terms:
-                key = _oracle(rep, depth - 1, window)
-                acc[key] = acc.get(key, 0) + coef
-            drop = {_oracle(x, depth - 1, window) for x in _oracle_kink_classes(d, i)}
-            buckets = sorted(((key, total) for key, total in acc.items() if total != 0),
-                             key=lambda t: repr(t[0]))
-            data.append(("bflat", i, tuple(b for b in buckets if b[0] not in drop)))
+            data.append(("bflat", i,
+                         _oracle_restricted(b_flat_sum(d, i), d, i, depth - 1, window)))
     return tuple(data)
+
+
+def _oracle_restricted(s, d: Diagram, i: int, depth: int, window: int) -> tuple:
+    """The bucket map of s with the kink-class buckets of component i
+    dropped, the kink classes always built."""
+    acc: dict = {}
+    for _, coef, rep in s.terms:
+        key = _oracle(rep, depth, window)
+        acc[key] = acc.get(key, 0) + coef
+    drop = {_oracle(x, depth, window) for x in _oracle_kink_classes(d, i)}
+    buckets = sorted(((key, total) for key, total in acc.items() if total != 0),
+                     key=lambda t: repr(t[0]))
+    return tuple(b for b in buckets if b[0] not in drop)
 
 
 @st.composite
@@ -82,7 +95,15 @@ def diagrams(draw):
 @settings(max_examples=150, deadline=None)
 @given(diagrams(), st.integers(0, 1), st.integers(1, 3))
 def test_fingerprint_equals_all_sublink_oracle(d, depth, window):
-    assert fingerprint(d, depth, window).data == _oracle(d, depth, window)
+    assert fingerprint(d, depth, window) == _oracle(d, depth, window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagrams(), st.integers(0, 1), st.integers(1, 3), st.data())
+def test_restricted_b_sum_map_equals_oracle(d, depth, window, data):
+    i = data.draw(st.integers(1, d.n_components))
+    assert restricted_flatsum_fingerprint(b_sum(d, i), d, i, depth, window) \
+        == _oracle_restricted(b_sum(d, i), d, i, depth, window)
 
 
 def _with_unknot(name: str) -> Diagram:
@@ -100,4 +121,4 @@ def _with_unknot(name: str) -> Diagram:
 ], ids=lambda d: serialize(d))
 @pytest.mark.parametrize("window", [1, 3])
 def test_depth_two_fingerprints_equal_oracle(d, window):
-    assert fingerprint(d, 2, window).data == _oracle(d, 2, window)
+    assert fingerprint(d, 2, window) == _oracle(d, 2, window)

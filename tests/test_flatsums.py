@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from vknots import PreconditionError, crossing_change, flat_key, serialize
@@ -117,6 +119,30 @@ def test_raw_bucket_map_not_kink_stable(unknot):
     assert restricted_flatsum_fingerprint(
         b_sum(kinked, 1), kinked, 1, 1, 2
     ) == ()
+
+
+def test_restricted_map_of_empty_sum_builds_no_kink_class(monkeypatch, vtref, unknot):
+    from vknots.invariants import restricted_flatsum_fingerprint
+
+    # the package attribute ``fingerprint`` is the function, not the module
+    fp = importlib.import_module("vknots.invariants.fingerprint")
+    calls = []
+    real = fp.kink_class_fingerprints
+    monkeypatch.setattr(fp, "kink_class_fingerprints",
+                        lambda *args: calls.append(args) or real(*args))
+    for d, s in ((vtref, b_flat_sum(vtref, 1)), (unknot, b_sum(unknot, 1))):
+        assert s.is_empty()
+        assert restricted_flatsum_fingerprint(s, d, 1, 2, 3) == ()
+        for i in (0, d.n_components + 1):
+            with pytest.raises(PreconditionError):
+                restricted_flatsum_fingerprint(s, d, i, 2, 3)
+    assert calls == []
+    # a sum with a bucket still has its kink-class buckets dropped
+    from vknots.moves import apply_move, enumerate_moves
+
+    kinked = apply_move(unknot, enumerate_moves(unknot, ("R1-insert",))[0])
+    assert restricted_flatsum_fingerprint(b_sum(kinked, 1), kinked, 1, 1, 2) == ()
+    assert len(calls) == 1
 
 
 def test_fingerprint_component_count(unknot, hopf):

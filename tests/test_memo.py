@@ -50,7 +50,7 @@ def test_memoised_tables_are_read_only(k431, hopf):
             table.clear()
     assert dict(smoothed_writhe_table(k431, 1)) == {1: -3, -1: 1, 2: 1, -2: -1}
     assert span_table(link) == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
-    assert isinstance(fingerprint(hopf, 0, 1).data, tuple)
+    assert isinstance(fingerprint(hopf, 0, 1), tuple)
 
 
 def test_clear_keeps_cumulative_counts(vtref):

@@ -16,6 +16,7 @@ from vknots.invariants import (
     dwrithe_nm,
     fspan_nk,
     span_nk,
+    tilde_f,
     writhe_n,
 )
 from vknots.invariants.fingerprint import _pair_vector
@@ -155,6 +156,10 @@ def test_precondition_messages_are_unchanged(vtref, hopf):
         (span_nk, vtref, 1, 0, "the (n,k)-span needs exactly 2 components (got 1)"),
         (span_nk, hopf, 0, 0, "the (n,k)-span requires n > 0"),
         (fspan_nk, hopf, -2, 1, "the (n,k)-span requires n > 0"),
+        (index_map, hopf, "crossing index is defined for knot diagrams only "
+                          "(got 2 components)"),
+        (tilde_f, hopf, 1, 1, 0, "the span polynomial is defined for knot "
+                                 "diagrams only (got 2 components)"),
     ]
     for fn, *args, message in cases:
         with pytest.raises(PreconditionError) as exc:
