@@ -11,7 +11,6 @@ and Reidemeister rewriting for randomized invariance checking.
 from .catalog import CatalogEntry, builtin_catalog, load_catalog, lookup
 from .diagram import (
     Diagram,
-    FlatKey,
     Passage,
     crossing_change,
     flat_key,
@@ -35,7 +34,7 @@ from .moves import KINDS, MoveSite, apply_move, enumerate_moves, random_walk
 from .smoothing import smooth1, smooth2, smooth3
 
 __all__ = [
-    "Diagram", "Passage", "FlatKey", "parse", "serialize", "mirror",
+    "Diagram", "Passage", "parse", "serialize", "mirror",
     "crossing_change", "reverse_component", "reorder_components", "flat_key",
     "ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index",
     "LaurentPoly", "zero", "one", "monomial", "var",

@@ -52,30 +52,28 @@ def _resolve(text: str) -> Diagram:
 
 def _parse_inv_spec(token: str, args) -> tuple[str, dict]:
     token = token.strip()
-    if "(" in token:
-        if not token.endswith(")"):
+    name, paren, rest = token.partition("(")
+    values = None
+    if paren:
+        if not rest.endswith(")"):
             raise PreconditionError(f"malformed invariant spec {token!r}")
-        name, rest = token[:-1].split("(", 1)
+        inner = rest[:-1]
         try:
-            values = [int(v) for v in rest.split(",")] if rest else []
+            values = [int(v) for v in inner.split(",")] if inner else []
         except ValueError:
             raise PreconditionError(
                 f"parameters of {token!r} must be integers"
             ) from None
-        spec = inv.REGISTRY.get(name)
-        if spec is None:
-            raise PreconditionError(f"unknown invariant {name!r}")
-        if len(values) != len(spec.params):
-            raise PreconditionError(
-                f"invariant {name!r} takes {len(spec.params)} parameter(s)"
-            )
-        return name, dict(zip(spec.params, values))
-    name = token
     spec = inv.REGISTRY.get(name)
     if spec is None:
         raise PreconditionError(f"unknown invariant {name!r}")
-    defaults = {"n": args.n, "m": args.m, "k": args.k, "i": args.i}
-    return name, {p: defaults[p] for p in spec.params}
+    if values is None:
+        values = [getattr(args, p) for p in spec.params]
+    elif len(values) != len(spec.params):
+        raise PreconditionError(
+            f"invariant {name!r} takes {len(spec.params)} parameter(s)"
+        )
+    return name, dict(zip(spec.params, values))
 
 
 def _default_battery(d: Diagram, window: int) -> list[tuple[str, dict]]:
@@ -227,14 +225,11 @@ def cmd_verify(args) -> int:
 def cmd_distinguish(args) -> int:
     da = _resolve(args.input_a)
     db = _resolve(args.input_b)
-    if args.inv == "all":
-        if da.n_components != db.n_components:
-            print(f"DISTINCT via component count: "
-                  f"{da.n_components} != {db.n_components}")
-            return 0
-        todo = _default_battery(da, args.window)
-    else:
-        todo = _inv_list(args.inv, da, args)
+    if args.inv == "all" and da.n_components != db.n_components:
+        print(f"DISTINCT via component count: "
+              f"{da.n_components} != {db.n_components}")
+        return 0
+    todo = _inv_list(args.inv, da, args)
     for name, params in todo:
         try:
             va = inv.comparable_invariant(name, da, params, args.depth, args.window)

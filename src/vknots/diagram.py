@@ -28,9 +28,11 @@ in O(1) instead of scanning the code.  The hash of the components is
 computed once, on first use.
 
 Reversing a segment of a Gauss code flips the sign of every crossing with
-exactly one passage in it.  That rule is stated once, here: ``one_sided``
-names the crossings, ``flip_signs`` negates them.  ``reverse_component``,
-the smoothings and the kink classes of fingerprints all use the pair.
+exactly one passage in it.  That rule is stated once, here: ``splice``
+cuts a diagram's components into ``(fwd, back)`` loops, each rejoined as
+``fwd + back[::-1]``, re-slots them and negates the crossings that
+``one_sided`` names.  ``reverse_component``, the three smoothings and the
+kink classes of fingerprints are all splices.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .errors import GaussCodeError, PreconditionError, ValidationError
 __all__ = [
     "Passage",
     "Diagram",
-    "FlatKey",
     "parse",
     "serialize",
     "mirror",
@@ -53,7 +54,7 @@ __all__ = [
     "component_index",
     "require_knot",
     "one_sided",
-    "flip_signs",
+    "splice",
     "reorder_components",
     "crossing_groups",
     "flat_key",
@@ -63,7 +64,7 @@ OVER = "O"
 UNDER = "U"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     """One visit of a strand to a classical crossing; ``Diagram(...)``
     checks its fields."""
@@ -295,22 +296,30 @@ def one_sided(segment) -> set[int]:
     return flips
 
 
-def flip_signs(components, flips) -> tuple:
-    """``components`` with the sign of every crossing in ``flips`` negated."""
-    return tuple(
+def splice(d: Diagram, slots, *loops) -> Diagram:
+    """``d`` with the components at ``slots`` (0-based) replaced by one
+    component per ``(fwd, back)`` loop, ``fwd + back[::-1]``: the first
+    loop takes the smallest of ``slots``, any others are appended last.  A
+    crossing with exactly one passage in the ``back`` segments flips sign."""
+    flips: set[int] = set()
+    comps = [c for k, c in enumerate(d.components) if k not in slots]
+    at = min(slots)
+    for fwd, back in loops:
+        flips ^= one_sided(back)
+        comps.insert(at, fwd + back[::-1])
+        at = len(comps)
+    return Diagram(tuple(
         tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
               for p in comp)
-        for comp in components
-    )
+        for comp in comps
+    ))
 
 
 def reverse_component(d: Diagram, i: int) -> Diagram:
     """Reverse orientation of component ``i`` (1-based); the crossings
     joining it to the other components flip sign."""
     t = component_index(d, i)
-    comps = list(d.components)
-    comps[t] = comps[t][::-1]
-    return Diagram(flip_signs(comps, one_sided(d.components[t])))
+    return splice(d, (t,), ((), d.components[t]))
 
 
 def crossing_groups(d: Diagram) -> dict[tuple[int, ...], set[int]]:
@@ -337,29 +346,20 @@ def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:
 # -- flat canonical keys ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatKey:
-    """Canonical key of the flat diagram underlying a Diagram.
+def flat_key(d: Diagram) -> str:
+    """Canonical key text of the flat diagram underlying ``d``.
 
     Equal for diagrams related by crossing changes, per-component rotation,
     and crossing relabeling.  Component order and orientations are part of
     the key.  Not a complete flat invariant: Reidemeister-equivalent flat
     diagrams may still get different keys.
 
-    ``canonical_text`` is the least, over all per-component rotations, of
-    the flat text: crossings are relabeled 1, 2, ... in order of first
-    visit; the first visit is written ``<label>+`` or ``<label>-`` (the
-    sign, negated when that passage is the under one, which makes it
-    crossing-change invariant) and the second ``<label>'``; tokens are
-    joined by ``.``, components by ``;``, and a crossing-free component is
-    ``0``.
-    """
-
-    canonical_text: str
-
-
-def flat_key(d: Diagram) -> FlatKey:
-    """Deterministic key of the underlying flat diagram class.
+    The key is the least, over all per-component rotations, of the flat
+    text: crossings are relabeled 1, 2, ... in order of first visit; the
+    first visit is written ``<label>+`` or ``<label>-`` (the sign, negated
+    when that passage is the under one, which makes it crossing-change
+    invariant) and the second ``<label>'``; tokens are joined by ``.``,
+    components by ``;``, and a crossing-free component is ``0``.
 
     Exact greedy search, one component at a time.  A component of n
     passages has n tokens in every rotation, and a token ends at its one
@@ -413,4 +413,4 @@ def flat_key(d: Diagram) -> FlatKey:
         parts.append(".".join(best))
         labelled += sum(not t.endswith("'") for t in best)
         states = list(ties.values())
-    return FlatKey(";".join(parts))
+    return ";".join(parts)

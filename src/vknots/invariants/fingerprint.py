@@ -20,7 +20,7 @@ to the nested B-sum data inside fingerprints for the same reason.
 
 from __future__ import annotations
 
-from ..diagram import Diagram, component_index, crossing_groups, flip_signs, one_sided
+from ..diagram import Diagram, component_index, crossing_groups, splice
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
 from .spans import fspan_window, linking_numbers
@@ -71,10 +71,7 @@ def kink_class_fingerprints(d: Diagram, i: int, depth: int,
     component i replaced by an unknot and its reverse appended."""
     t = component_index(d, i)
     with_circle = Diagram(d.components + ((),))
-    comps = list(d.components)
-    comps[t] = ()
-    comps.append(d.components[t][::-1])
-    swapped = Diagram(flip_signs(comps, one_sided(d.components[t])))
+    swapped = splice(d, (t,), ((), ()), ((), d.components[t]))
     return frozenset(
         fingerprint(x, depth, window) for x in (with_circle, swapped)
     )

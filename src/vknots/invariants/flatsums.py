@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..diagram import (
-    Diagram, FlatKey, component_index, crossing_change, crossing_groups, flat_key,
-)
+from ..diagram import Diagram, component_index, crossing_change, crossing_groups, flat_key
+from ..laurent import render_sum
 from ..smoothing import smooth2
 
 __all__ = ["FlatSum", "flat_sum", "b_sum", "b_flat_sum", "self_crossings"]
@@ -22,28 +21,19 @@ __all__ = ["FlatSum", "flat_sum", "b_sum", "b_flat_sum", "self_crossings"]
 
 @dataclass(frozen=True)
 class FlatSum:
-    """Reduced formal sum; terms ordered by key text, zero terms dropped."""
+    """Reduced formal sum; terms ``(key, coefficient, representative)``
+    ordered by flat key text, zero terms dropped."""
 
-    terms: tuple[tuple[FlatKey, int, Diagram], ...]
+    terms: tuple[tuple[str, int, Diagram], ...]
 
     def is_empty(self) -> bool:
         return not self.terms
 
-    def coefficients(self) -> dict[FlatKey, int]:
+    def coefficients(self) -> dict[str, int]:
         return {key: coef for key, coef, _ in self.terms}
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (_, coef, rep) in enumerate(self.terms):
-            mag = abs(coef)
-            body = f"[{rep}]" if mag == 1 else f"{mag}[{rep}]"
-            if i == 0:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_sum((coef, f"[{rep}]") for _, coef, rep in self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -51,7 +41,7 @@ class FlatSum:
 
 def flat_sum(pairs: Iterable[tuple[Diagram, int]]) -> FlatSum:
     """Reduce (diagram, coefficient) pairs by canonical flat key."""
-    acc: dict[FlatKey, tuple[int, Diagram]] = {}
+    acc: dict[str, tuple[int, Diagram]] = {}
     for rep, coef in pairs:
         key = flat_key(rep)
         if key in acc:
@@ -59,7 +49,7 @@ def flat_sum(pairs: Iterable[tuple[Diagram, int]]) -> FlatSum:
         else:
             acc[key] = (coef, rep)
     cleaned = [(k, c, r) for k, (c, r) in acc.items() if c != 0]
-    cleaned.sort(key=lambda t: t[0].canonical_text)
+    cleaned.sort(key=lambda t: t[0])
     return FlatSum(tuple(cleaned))
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 from .errors import PreconditionError
 
-__all__ = ["LaurentPoly", "zero", "one", "monomial", "var"]
+__all__ = ["LaurentPoly", "zero", "one", "monomial", "var", "render_sum"]
 
 
 @dataclass(frozen=True)
@@ -129,27 +129,11 @@ class LaurentPoly:
 
     def render(self) -> str:
         """Deterministic text, terms in canonical (descending lex) order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (exps, coef) in enumerate(self.terms):
-            mono = "".join(
-                (name if e == 1 else f"{name}^{e}")
-                for name, e in zip(self.variables, exps)
-                if e != 0
-            )
-            mag = abs(coef)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}{mono}"
-            if i == 0:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_sum(
+            (coef, "".join((name if e == 1 else f"{name}^{e}")
+                           for name, e in zip(self.variables, exps) if e != 0))
+            for exps, coef in self.terms
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,6 +143,22 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def render_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Text of a signed sum of ``(coefficient, text)`` terms: ``-x`` or
+    ``x`` first, then ``+ x`` or ``- x``, where x is the magnitude then the
+    text, the magnitude left out when it is 1; a term with empty text is its
+    bare coefficient, and the empty sum is ``0``."""
+    parts = []
+    for coef, text in terms:
+        mag = abs(coef)
+        body = text if mag == 1 and text else f"{mag}{text}"
+        if not parts:
+            parts.append(body if coef > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def zero(variables: Iterable[str]) -> LaurentPoly:

@@ -11,8 +11,9 @@ All three delete one chord and reconnect the strands:
   passage's component is traversed in reverse in the merged loop, and the
   merged component takes the smaller slot.
 
-Reversing a segment flips the sign of every crossing with exactly one
-passage inside it (``diagram.one_sided``, ``diagram.flip_signs``).  Which
+Each is one ``diagram.splice`` of the parent's passages: a loop ``(fwd,
+back)`` becomes the component ``fwd + reversed(back)``, and a crossing
+with exactly one passage in a reversed segment flips its sign.  Which
 segment survives/reverses is pinned by golden values, not by taste: the
 type-1 and type-2 choices below reproduce the published smoothed d-writhes
 of knot 4.31 and the three-variable span polynomials of the VK family, and
@@ -21,18 +22,15 @@ Changing the smoothed crossing before a type-3 smoothing reverses the
 merged knot's orientation, which is what makes the flat span machinery
 work.
 
-Types 1 and 3 are each stated once, as a segment pair ``(fwd, back)`` of
-the parent's passages (``type1_segments``, ``type3_segments``): the
-smoothed component is ``fwd + reversed(back)``, and a crossing with
-exactly one passage in ``back`` flips its sign.  ``smooth1`` and
-``smooth3`` build their Diagram from that pair; the writhe tables of a
-smoothing are read off the same pair by ``labeling.index_walk``, with no
-Diagram built.
+Types 1 and 3 are each stated once, as the segment pair ``(fwd, back)``
+of their one loop (``type1_segments``, ``type3_segments``).  ``smooth1``
+and ``smooth3`` splice that pair; the writhe tables of a smoothing are
+read off the same pair by ``labeling.index_walk``, with no Diagram built.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, flip_signs, one_sided
+from .diagram import Diagram, splice
 from .errors import PreconditionError
 from .memo import memo
 
@@ -85,19 +83,10 @@ def type3_segments(d: Diagram, crossing: int) -> tuple:
     return _after(d.components[oc], oi), _after(d.components[uc], ui)
 
 
-def _splice(d: Diagram, slots, fwd, back) -> Diagram:
-    """``d`` with the components at ``slots`` replaced by one component,
-    ``fwd + reversed(back)``, at the smallest of those slots."""
-    comps = [c for k, c in enumerate(d.components) if k not in slots]
-    comps.insert(min(slots), fwd + tuple(reversed(back)))
-    return Diagram(flip_signs(comps, one_sided(back)))
-
-
 @memo
 def smooth1(d: Diagram, crossing: int) -> Diagram:
     """Type-1 smoothing: same component count, one segment reversed."""
-    fwd, back = type1_segments(d, crossing)
-    return _splice(d, d.components_of(crossing)[:1], fwd, back)
+    return splice(d, d.components_of(crossing)[:1], type1_segments(d, crossing))
 
 
 def smooth2(d: Diagram, crossing: int) -> Diagram:
@@ -107,14 +96,10 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     old slot; the other loop is reversed and appended last.
     """
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
-    comps = list(d.components)
-    comps[ci] = y
-    comps.append(tuple(reversed(x)))
-    return Diagram(flip_signs(comps, one_sided(x)))
+    return splice(d, (ci,), (y, ()), ((), x))
 
 
 def smooth3(d: Diagram, crossing: int) -> Diagram:
     """Type-3 smoothing: two components merge; result has one fewer, at
     the smaller of the two slots."""
-    fwd, back = type3_segments(d, crossing)
-    return _splice(d, d.components_of(crossing), fwd, back)
+    return splice(d, d.components_of(crossing), type3_segments(d, crossing))

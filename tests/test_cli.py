@@ -215,6 +215,19 @@ def test_invariant_bad_parameters_exit_3(capsys, spec):
     assert "must be integers" in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("foo(1", "malformed invariant spec 'foo(1'"),
+    ("foo(x)", "parameters of 'foo(x)' must be integers"),
+    ("foo", "unknown invariant 'foo'"),
+    ("djn(1,2)", "invariant 'djn' takes 1 parameter(s)"),
+])
+def test_invariant_spec_errors_exit_3(capsys, spec, message):
+    # Checked in this order: shape, then integer parameters, then the name,
+    # then the parameter count.
+    code, out, err = run(capsys, "invariant", "--inv", spec, "VTREF")
+    assert (code, out, err) == (3, "", f"precondition violated: {message}\n")
+
+
 def test_batch_missing_catalog_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "batch", "--inv", "aip", str(tmp_path / "none.tsv"))
     assert code == 2

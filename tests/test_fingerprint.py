@@ -4,7 +4,8 @@ The oracle is the fingerprint as it was before crossing-free components
 and pairs got zero vectors without a sublink: every component and every
 pair is cut out with its own crossing scan and measured, at every depth of
 the recursion.  Its kink-restricted bucket maps always build the two kink
-classes and filter, also when the raw map is empty.
+classes, from passages with the crossing-table sign rule, and filter, also
+when the raw map is empty.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import Diagram, Passage, parse, reverse_component, serialize
+from vknots import Diagram, Passage, parse, serialize
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
@@ -36,9 +37,18 @@ def _oracle_sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
 
 
 def _oracle_kink_classes(d: Diagram, i: int) -> tuple[Diagram, Diagram]:
-    comps = list(reverse_component(d, i).components)
-    moved = comps[i - 1]
-    comps[i - 1] = ()
+    """d with an unknot appended, and d with component i emptied and its
+    reverse appended; a crossing flips iff exactly one of its passages lies
+    on component i, read off the crossing table."""
+    t = i - 1
+
+    def signed(p: Passage) -> Passage:
+        oc, uc = d.components_of(p.crossing)
+        return Passage(p.crossing, p.strand, -p.sign if (oc == t) != (uc == t) else p.sign)
+
+    comps = [tuple(map(signed, comp)) for comp in d.components]
+    moved = comps[t][::-1]
+    comps[t] = ()
     return Diagram(d.components + ((),)), Diagram(tuple(comps) + (moved,))
 
 

@@ -1,9 +1,10 @@
 """The labelling walk over a smoothing's segment pair against the smoothed
-Diagram it stands for.
+Diagram it stands for, and the smoothed Diagrams against oracles.
 
-The oracles here share no code with the walk or with the segment pairs:
-each smoothing is rebuilt from the crossing's passage positions as the
-surgery reads, and each index comes from the diagram's arc labels."""
+The oracles here share no code with the walk, the segment pairs or
+``diagram.splice``: each smoothing is rebuilt from the crossing's passage
+positions as the surgery reads, and each index comes from the diagram's
+arc labels."""
 
 import random
 
@@ -14,7 +15,7 @@ from vknots import Diagram, Passage, arc_labeling
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import smoothed_writhe_table, writhe_totals
 from vknots.labeling import index_map, index_walk
-from vknots.smoothing import smooth1, smooth3, type1_segments, type3_segments
+from vknots.smoothing import smooth1, smooth2, smooth3, type1_segments, type3_segments
 
 from conftest import random_chord_diagram
 
@@ -46,6 +47,21 @@ def oracle_smooth1(d, c):
     comps = list(d.components)
     comps[ci] = fwd + back[::-1]
     return Diagram(_flipped(comps, back))
+
+
+def oracle_smooth2(d, c):
+    """The stretch from the under passage back to the over passage keeps
+    the slot as it is; the stretch from the over passage to the under
+    passage is reversed and appended last."""
+    (ci, oi), (_, ui) = d.passage_positions(c)
+    comp = d.components[ci]
+    n = len(comp)
+    x = tuple(comp[(oi + j) % n] for j in range(1, (ui - oi) % n))
+    y = tuple(comp[(ui + j) % n] for j in range(1, (oi - ui) % n))
+    comps = list(d.components)
+    comps[ci] = y
+    comps.append(x[::-1])
+    return Diagram(_flipped(comps, x))
 
 
 def oracle_smooth3(d, c):
@@ -123,3 +139,12 @@ def test_walk_reads_type3_smoothings_off_the_link(seed, n_chords):
         assert _walk_table(type3_segments(d, c)) == oracle_table(k), c
         want.append((d.sign(c) if oc == 0 else -d.sign(c), oracle_table(k)))
     assert [(s, dict(t)) for s, t in span_table(d)] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 12), st.integers(1, 3))
+def test_smooth2_matches_oracle(seed, n_chords, n_components):
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    for c in d.crossing_ids():
+        if d.is_self_crossing(c):
+            assert smooth2(d, c) == oracle_smooth2(d, c), c
