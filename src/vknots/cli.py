@@ -112,8 +112,7 @@ def _split_specs(arg: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        out.append("".join(cur))
+    out.append("".join(cur))
     return out
 
 
@@ -204,11 +203,15 @@ def cmd_verify(args) -> int:
     baseline = [inv.comparable_invariant(name, d, params, args.depth, args.window)
                 for name, params in todo]
     failures: dict[int, int] = {}  # index into todo -> first failing step
+    step = 0
     for step, cur in enumerate(steps, start=1):
         for k, (name, params) in enumerate(todo):
             if k not in failures and baseline[k] != inv.comparable_invariant(
                     name, cur, params, args.depth, args.window):
                 failures[k] = step
+    if step < args.steps:
+        print(f"walk stopped after {step} of {args.steps} steps: no move keeps the "
+              f"diagram within --max-crossings {args.max_crossings}", file=sys.stderr)
     print(f"verify steps={args.steps} seed={args.seed} "
           f"max-crossings={args.max_crossings}")
     for k, (name, params) in enumerate(todo):

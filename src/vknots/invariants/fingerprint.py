@@ -1,13 +1,14 @@
 """Flat-class fingerprints and sound nonzero certificates for flat sums.
 
-A fingerprint is a vector of flat invariants of a diagram: difference
-writhes and their (n,m) refinements for knots, pairwise spans and flat
-spans of two-component sublinks, the same data for each component viewed
-alone, and (below a depth bound) the bucketed flat B-sums of every
-component.  Equal flat classes have equal fingerprints, so bucketing the
-terms of a formal sum by fingerprint and finding a bucket with nonzero
-total coefficient certifies that the sum is nonzero; nothing here ever
-certifies equality.
+A fingerprint is a vector of flat invariants of a diagram, one layout for any
+component count n: ``("ncomp", n)``, a "component" vector per component
+(difference writhes and (n,m) refinements), a "pair" vector per pair (span,
+flat spans) and, below a depth bound, a "bflat" map per component (its bucketed
+flat B-sum).  Each sums over crossings: zero over none, with no sublink or
+B-sum built; a sublink of all components is the diagram.  Equal flat classes
+have equal fingerprints, so bucketing the terms of a formal sum by fingerprint
+and finding a bucket with nonzero total coefficient certifies that the sum is
+nonzero; nothing here ever certifies equality.
 
 One wrinkle: a kink move changes a B-sum by one term whose class is the
 diagram with an unknot added (in one of two computable ways).  Raw bucket
@@ -43,7 +44,9 @@ DEFAULT_DEPTH = 2
 def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> Diagram:
     """The components in ``keep`` (0-based, order preserved) with only the
     crossings in ``kept``, which must be every crossing that lies on kept
-    components alone."""
+    components alone: ``d`` itself when every component is kept."""
+    if len(keep) == d.n_components:
+        return d
     return Diagram(tuple(
         tuple(p for p in d.components[ci] if p.crossing in kept)
         for ci in keep
@@ -82,33 +85,29 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
                 window: int = DEFAULT_WINDOW) -> tuple:
     """Flat invariant vector of an ordered oriented diagram, as a tuple."""
     n = d.n_components
+    # A sum over no crossings is zero, so no sublink or B-sum is built for a
+    # component without self-crossings or a pair without joining crossings.
+    groups = crossing_groups(d)
     data: list = [("ncomp", n)]
-    if n == 1:
-        data.append(_knot_vector(d, window))
-    else:
-        # A sum over no crossings is zero: a component without
-        # self-crossings and a pair without joining crossings get zero
-        # vectors, with no sublink built.
-        groups = crossing_groups(d)
-        for ci in range(n):
-            vec = ("dj", (0,) * window, "djnm", (0,) * window ** 2)
-            if (ci,) in groups:
-                vec = _knot_vector(_sublink(d, (ci,), groups[ci,]), window)
-            data.append(("component", ci + 1, vec))
-        for i in range(n):
-            for j in range(i + 1, n):
-                vec = ("span", 0, "fspan", (0,) * (window * (window + 1)))
-                if (i, j) in groups:
-                    kept = groups[i, j].union(groups.get((i,), ()),
-                                              groups.get((j,), ()))
-                    vec = _pair_vector(_sublink(d, (i, j), kept), window)
-                data.append(("pair", i + 1, j + 1, vec))
+    for ci in range(n):
+        vec = ("dj", (0,) * window, "djnm", (0,) * window ** 2)
+        if (ci,) in groups:
+            vec = _knot_vector(_sublink(d, (ci,), groups[ci,]), window)
+        data.append(("component", ci + 1, vec))
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = ("span", 0, "fspan", (0,) * (window * (window + 1)))
+            if (i, j) in groups:
+                kept = groups[i, j].union(groups.get((i,), ()),
+                                          groups.get((j,), ()))
+                vec = _pair_vector(_sublink(d, (i, j), kept), window)
+            data.append(("pair", i + 1, j + 1, vec))
     if depth > 0:
-        for i in range(1, n + 1):
+        for ci in range(n):
             buckets = restricted_flatsum_fingerprint(
-                b_flat_sum(d, i), d, i, depth - 1, window
-            )
-            data.append(("bflat", i, buckets))
+                b_flat_sum(d, ci + 1), d, ci + 1, depth - 1, window
+            ) if (ci,) in groups else ()
+            data.append(("bflat", ci + 1, buckets))
     return tuple(data)
 
 
@@ -118,14 +117,14 @@ def flatsum_fingerprint(s: FlatSum, depth: int = DEFAULT_DEPTH,
 
     The bucket map is an invariant of the underlying module element: each
     flat class lands in exactly one bucket, so equal sums give equal maps.
-    Buckets whose coefficients cancel are dropped.
+    Buckets that cancel are dropped; the rest sort by fingerprint.
     """
     acc: dict[tuple, int] = {}
     for _, coef, rep in s.terms:
         fp = fingerprint(rep, depth, window)
         acc[fp] = acc.get(fp, 0) + coef
     items = [(fp, total) for fp, total in acc.items() if total != 0]
-    items.sort(key=lambda t: repr(t[0]))
+    items.sort()
     return tuple(items)
 
 

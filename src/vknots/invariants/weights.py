@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..diagram import Diagram, mirror
+from ..diagram import Diagram, mirror, require_knot
 from ..errors import PreconditionError
 from ..labeling import crossing_index
 from ..smoothing import smooth1
@@ -115,8 +115,7 @@ def nested_dwrithe(d: Diagram, n: int, ms: tuple[int, ...]) -> int:
     ``i_flat(d, sgn*ind*(A o smooth1), ind, m)``.  Depth one recovers the
     (n,m)-difference writhe.
     """
-    if d.n_components != 1:
-        raise PreconditionError("nested difference writhes are knot invariants")
+    require_knot(d, "the nested difference writhe")
     if not ms:
         return dwrithe(d, n)
     inner_ms = tuple(ms[:-1])

@@ -1,11 +1,13 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vknots
 from vknots import invariants, parse, serialize
 from vknots.cli import main
 from vknots.errors import GaussCodeError, ValidationError
@@ -161,6 +163,37 @@ def test_verify_unknot_all(capsys):
                        "--seed", "3", "--max-crossings", "6", "UNKNOT")
     assert code == 0
     assert "RESULT PASS" in out
+
+
+_CATALOG = str(Path(vknots.__file__).parent / "data" / "catalog.tsv")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--inv", "", "--steps", "3", "--seed", "1", "K431"),
+    ("verify", "--inv", "aip,", "--steps", "3", "--seed", "1", "K431"),
+    ("distinguish", "--inv", "", "K431", "VTREF"),
+    ("batch", "--inv", "", _CATALOG),
+], ids=["verify-empty", "verify-trailing-comma", "distinguish-empty", "batch-empty"])
+def test_empty_invariant_entry_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: unknown invariant ''\n"
+
+
+def test_verify_walk_stopped_early_says_so(capsys):
+    # VK3 has 20 crossings, so no move keeps it within the default cap of 12.
+    code, out, err = run(capsys, "verify", "--inv", "aip", "--steps", "50",
+                         "--seed", "1", "VK3")
+    assert code == 0
+    assert out == "verify steps=50 seed=1 max-crossings=12\nPASS aip\nRESULT PASS\n"
+    assert err == ("walk stopped after 0 of 50 steps: no move keeps the diagram "
+                   "within --max-crossings 12\n")
+
+
+def test_verify_full_walk_writes_no_stderr(capsys):
+    code, _, err = run(capsys, "verify", "--inv", "aip", "--steps", "5",
+                       "--seed", "1", "K431")
+    assert (code, err) == (0, "")
 
 
 def test_distinguish_kishino_unknot(capsys):

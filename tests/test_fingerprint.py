@@ -2,7 +2,8 @@
 
 The oracle is the fingerprint as it was before crossing-free components
 and pairs got zero vectors without a sublink: every component and every
-pair is cut out with its own crossing scan and measured, at every depth of
+pair, a knot's one component included, is cut out with its own crossing
+scan and measured, and every component's B-sum is taken, at every depth of
 the recursion.  Its kink-restricted bucket maps always build the two kink
 classes, from passages with the crossing-table sign rule, and filter, also
 when the raw map is empty.
@@ -11,20 +12,25 @@ when the raw map is empty.
 from __future__ import annotations
 
 import functools
+import importlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import Diagram, Passage, parse, serialize
+from vknots import Diagram, Passage, memo, parse, serialize
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
     fingerprint,
+    flat_sum,
+    flatsum_fingerprint,
     restricted_flatsum_fingerprint,
 )
-from vknots.invariants.fingerprint import _knot_vector, _pair_vector
+from vknots.invariants.fingerprint import _knot_vector, _pair_vector, _sublink
 from conftest import named
+
+fingerprint_module = importlib.import_module("vknots.invariants.fingerprint")
 
 
 def _oracle_sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
@@ -56,16 +62,13 @@ def _oracle_kink_classes(d: Diagram, i: int) -> tuple[Diagram, Diagram]:
 def _oracle(d: Diagram, depth: int, window: int) -> tuple:
     n = d.n_components
     data: list = [("ncomp", n)]
-    if n == 1:
-        data.append(_knot_vector(d, window))
-    else:
-        for ci in range(n):
-            data.append(("component", ci + 1,
-                         _knot_vector(_oracle_sublink(d, (ci,)), window)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                data.append(("pair", i + 1, j + 1,
-                             _pair_vector(_oracle_sublink(d, (i, j)), window)))
+    for ci in range(n):
+        data.append(("component", ci + 1,
+                     _knot_vector(_oracle_sublink(d, (ci,)), window)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            data.append(("pair", i + 1, j + 1,
+                         _pair_vector(_oracle_sublink(d, (i, j)), window)))
     if depth > 0:
         for i in range(1, n + 1):
             data.append(("bflat", i,
@@ -81,8 +84,7 @@ def _oracle_restricted(s, d: Diagram, i: int, depth: int, window: int) -> tuple:
         key = _oracle(rep, depth, window)
         acc[key] = acc.get(key, 0) + coef
     drop = {_oracle(x, depth, window) for x in _oracle_kink_classes(d, i)}
-    buckets = sorted(((key, total) for key, total in acc.items() if total != 0),
-                     key=lambda t: repr(t[0]))
+    buckets = sorted((key, total) for key, total in acc.items() if total != 0)
     return tuple(b for b in buckets if b[0] not in drop)
 
 
@@ -132,3 +134,50 @@ def _with_unknot(name: str) -> Diagram:
 @pytest.mark.parametrize("window", [1, 3])
 def test_depth_two_fingerprints_equal_oracle(d, window):
     assert fingerprint(d, 2, window) == _oracle(d, 2, window)
+
+
+def test_knot_takes_the_component_layout():
+    k431 = named("K431")
+    fp = fingerprint(k431, 1, 2)
+    assert [entry[0] for entry in fp] == ["ncomp", "component", "bflat"]
+    assert fp[:2] == (("ncomp", 1), ("component", 1, _knot_vector(k431, 2)))
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_bucket_map_of_mixed_component_counts(depth):
+    """Terms of 1, 2 and 3 components sort by their fingerprints, and the
+    map does not depend on the order the pairs come in."""
+    pairs = [
+        (named("K431"), 1), (named("VTREF"), 3), (parse("0"), -2),
+        (named("HOPF"), 2), (parse("O1+U1+;0"), 1),
+        (parse("O1+O2+U1+U2+;O3-;U3-"), -1), (Diagram(((), (), ())), 4),
+    ]
+    buckets = flatsum_fingerprint(flat_sum(pairs), depth, 2)
+    assert {fp[0] for fp, _ in buckets} == {("ncomp", 1), ("ncomp", 2), ("ncomp", 3)}
+    assert flatsum_fingerprint(flat_sum(reversed(pairs)), depth, 2) == buckets
+
+
+@pytest.mark.parametrize("code, calls, empty", [("O1-;U1-", 0, (1, 2)),
+                                               ("O1+U1+;0", 1, (2,))])
+def test_component_without_self_crossings_takes_no_b_sum(monkeypatch, code, calls, empty):
+    seen = []
+
+    def counted(d, i):
+        seen.append(i)
+        return b_flat_sum(d, i)
+
+    monkeypatch.setattr(fingerprint_module, "b_flat_sum", counted)
+    memo.clear()
+    fp = fingerprint(parse(code), 1)
+    memo.clear()
+    assert len(seen) == calls
+    for i in empty:
+        assert ("bflat", i, ()) in fp
+
+
+@pytest.mark.parametrize("code", ["O1-U3-U4-U2+O3-O2+U1-O4-", "0", "O1-;U1-",
+                                  "O1+O2+U1+U2+;O3-U3-"])
+def test_sublink_keeping_every_component_is_the_diagram(code):
+    d = parse(code)
+    keep = tuple(range(d.n_components))
+    assert _sublink(d, keep, set(d.crossing_ids())) is d

@@ -15,6 +15,7 @@ from vknots.invariants import (
     dwrithe,
     dwrithe_nm,
     fspan_nk,
+    nested_dwrithe,
     span_nk,
     tilde_f,
     writhe_n,
@@ -160,6 +161,8 @@ def test_precondition_messages_are_unchanged(vtref, hopf):
                           "(got 2 components)"),
         (tilde_f, hopf, 1, 1, 0, "the span polynomial is defined for knot "
                                  "diagrams only (got 2 components)"),
+        (nested_dwrithe, hopf, 1, (), "the nested difference writhe is defined "
+                                      "for knot diagrams only (got 2 components)"),
     ]
     for fn, *args, message in cases:
         with pytest.raises(PreconditionError) as exc:
