@@ -346,6 +346,21 @@ def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:
 # -- flat canonical keys ----------------------------------------------
 
 
+_MARKS = "'+-"  # token mark of a second visit, a + first visit, a - first visit
+_LABELS: list[int] = [0]  # 0, 1, 2, ... in decimal text order: place -> label
+_RANK: list[int] = [0]  # label -> 3 * its place in _LABELS
+
+
+def _rank_table(n: int) -> tuple[list[int], list[int]]:
+    """``_RANK`` and ``_LABELS`` covering labels 0..n, grown on demand."""
+    if len(_RANK) <= n:
+        _LABELS[:] = sorted(range(max(n + 1, 2 * len(_RANK))), key=str)
+        _RANK[:] = _LABELS
+        for place, label in enumerate(_LABELS):
+            _RANK[label] = 3 * place
+    return _RANK, _LABELS
+
+
 def flat_key(d: Diagram) -> str:
     """Canonical key text of the flat diagram underlying ``d``.
 
@@ -361,56 +376,72 @@ def flat_key(d: Diagram) -> str:
     invariant) and the second ``<label>'``; tokens are joined by ``.``,
     components by ``;``, and a crossing-free component is ``0``.
 
-    Exact greedy search, one component at a time.  A component of n
-    passages has n tokens in every rotation, and a token ends at its one
-    non-digit, so no candidate text of a component is a strict prefix of
-    another.  The least text of the whole link is therefore the least text
-    of component 1, followed by the least text of component 2 among the
-    rotations that reach that first minimum, and so on.  The search keeps
-    only states whose text so far is the minimum, branching on ties, and
-    compares each rotation token by token against the best, leaving it at
-    the first larger token.  A state is the labels of the crossings still
-    to be met again, which is all later text depends on; states with equal
-    labels merge.  The cost grows with the number of ties times the square
-    of the component lengths, not with the product of the lengths.
+    Exact search, one component at a time.  A component of n passages has
+    n tokens in every rotation, and a token ends at its one non-digit, so
+    no candidate text of a component is a strict prefix of another and
+    texts compare as their token sequences.  The least text of the whole
+    link is therefore the least text of component 1, followed by the least
+    text of component 2 among the rotations that reach that first minimum,
+    and so on.  A state is the labels of the crossings still to be met
+    again, which is all later text depends on.
+
+    Candidate elimination on integer tokens: each component starts from
+    every (state, rotation) candidate and advances them all one token at a
+    time, keeping only those at the least token.  All survivors so far
+    share their text, so they share the next free label too.  Once one is
+    left it is read to the end; if several reach the end, they tie.  Their
+    end states, merged when equal, are the next component's states.  With
+    ``rank`` the place of a label in decimal text order (so ``10`` < ``2``),
+    a second visit is ``3 * rank``, a ``+`` first visit ``3 * rank + 1``
+    and a ``-`` one ``3 * rank + 2``: the order of the text tokens, since
+    ``'`` < ``+`` < ``-`` < digit.  The text is built once, from the
+    winning tokens.  The cost grows with the sum of the component lengths
+    and with the ties, not with the product of the lengths.
     """
     last = {}  # crossing -> last component it meets
     for ci, comp in enumerate(d.components):
         for p in comp:
             last[p.crossing] = ci
-    states: list[dict[int, str]] = [{}]  # crossing -> its second-visit token
+    rank, labels = _rank_table(len(last) + 1)
+    states: list[dict[int, int]] = [{}]  # crossing -> label
     labelled = 0
     parts = []
     for ci, comp in enumerate(d.components):
-        if not comp:
+        n = len(comp)
+        if not n:
             parts.append("0")
             continue
-        seq = [(p.crossing, "+" if (p.sign > 0) == p.over else "-") for p in comp]
-        best: list[str] | None = None
-        ties: dict[frozenset, dict[int, str]] = {}
-        for seen in states:
-            for r in range(len(seq)):
-                fresh: dict[int, str] = {}
-                toks: list[str] = []
-                equal = best is not None  # text so far equals best's
-                for c, s in seq[r:] + seq[:r]:
-                    tok = seen.get(c) or fresh.get(c)
-                    if tok is None:
-                        label = labelled + len(fresh) + 1
-                        tok = f"{label}{s}"
-                        fresh[c] = f"{label}'"
-                    if equal and tok != best[len(toks)]:
-                        if tok > best[len(toks)]:
-                            break
-                        equal = False
-                    toks.append(tok)
-                else:
-                    if not equal:
-                        best, ties = toks, {}
-                    state = {c: t for c, t in (*seen.items(), *fresh.items())
-                             if last[c] > ci}
-                    ties.setdefault(frozenset(state.items()), state)
-        parts.append(".".join(best))
-        labelled += sum(not t.endswith("'") for t in best)
-        states = list(ties.values())
+        seq = [(p.crossing, 1 if (p.sign > 0) == (p.strand == OVER) else 2)
+               for p in comp] * 2
+        cands = [(r, dict(seen)) for seen in states for r in range(n)]
+        toks: list[int] = []  # the survivors' common tokens
+        k = 0
+        while len(cands) > 1 and k < n:
+            fresh = labelled + 1
+            best, keep = 3 * len(rank), []  # above every token
+            for cand in cands:
+                r, lab = cand
+                c, s = seq[r + k]
+                label = lab.setdefault(c, fresh)
+                tok = rank[label] + s if label == fresh else rank[label]
+                if tok < best:
+                    best, keep = tok, [cand]
+                elif tok == best:
+                    keep.append(cand)
+            cands = keep
+            toks.append(best)
+            labelled += best % 3 > 0
+            k += 1
+        r, lab = cands[0]
+        for c, s in seq[r + k:r + n]:
+            fresh = labelled + 1
+            label = lab.setdefault(c, fresh)
+            toks.append(rank[label] + s if label == fresh else rank[label])
+            labelled += label == fresh
+        parts.append(".".join([f"{labels[t // 3]}{_MARKS[t % 3]}" for t in toks]))
+        states = []
+        for _, lab in cands:
+            state = {c: x for c, x in lab.items() if last[c] > ci}
+            if state not in states:
+                states.append(state)
     return ";".join(parts)

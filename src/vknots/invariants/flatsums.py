@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..diagram import Diagram, component_index, crossing_change, crossing_groups, flat_key
+from ..diagram import Diagram, component_index, crossing_groups, flat_key
 from ..laurent import render_sum
-from ..smoothing import smooth2
+from ..smoothing import smooth2, smooth2_changed
 
 __all__ = ["FlatSum", "flat_sum", "b_sum", "b_flat_sum", "self_crossings"]
 
@@ -71,5 +71,5 @@ def b_flat_sum(d: Diagram, i: int) -> FlatSum:
     for c in self_crossings(d, i):
         s = d.sign(c)
         pairs.append((smooth2(d, c), s))
-        pairs.append((smooth2(crossing_change(d, c), c), -s))
+        pairs.append((smooth2_changed(d, c), -s))
     return flat_sum(pairs)

@@ -93,18 +93,27 @@ def span_table(d: Diagram) -> tuple:
     )
 
 
-def span_nk(d: Diagram, n: int, k: int) -> int:
-    """Signed over-minus-under count over crossings whose type-3 smoothing
-    has n-th difference writhe k."""
+def _require_nk(d: Diagram, n: int) -> None:
     _require_two_components(d, "the (n,k)-span")
     if n <= 0:
         raise PreconditionError("the (n,k)-span requires n > 0")
+
+
+def span_nk(d: Diagram, n: int, k: int) -> int:
+    """Signed over-minus-under count over crossings whose type-3 smoothing
+    has n-th difference writhe k."""
+    _require_nk(d, n)
     return sum(s for s, table in span_table(d) if difference(table, n) == k)
 
 
 def fspan_nk(d: Diagram, n: int, k: int) -> int:
-    """Flat span: symmetrized in k, hence crossing-change invariant."""
-    return span_nk(d, n, k) + span_nk(d, n, -k)
+    """Flat span: symmetrized in k, hence crossing-change invariant;
+    ``span_nk(d, n, k) + span_nk(d, n, -k)`` in one pass."""
+    _require_nk(d, n)
+    k = abs(k)
+    total = sum(s for s, table in span_table(d) if abs(difference(table, n)) == k)
+    # k = 0 enters both terms of the symmetrized sum.
+    return total if k else 2 * total
 
 
 def fspan_window(d: Diagram, window: int) -> tuple:

@@ -35,7 +35,8 @@ from .errors import PreconditionError
 from .memo import memo
 
 __all__ = [
-    "smooth1", "smooth2", "smooth3", "type1_segments", "type3_segments",
+    "smooth1", "smooth2", "smooth2_changed", "smooth3", "type1_segments",
+    "type3_segments",
 ]
 
 
@@ -97,6 +98,18 @@ def smooth2(d: Diagram, crossing: int) -> Diagram:
     """
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
     return splice(d, (ci,), (y, ()), ((), x))
+
+
+def smooth2_changed(d: Diagram, crossing: int) -> Diagram:
+    """``smooth2(crossing_change(d, crossing), crossing)``, with no changed
+    Diagram built.
+
+    Changing the crossing swaps its over and under passages, so X and Y
+    swap roles; the crossing lies in neither, so nothing else changes: X
+    keeps its orientation and the slot, and Y is reversed and appended.
+    """
+    ci, x, y = _split_self(d, crossing, "type-2 smoothing")
+    return splice(d, (ci,), (x, ()), ((), y))
 
 
 def smooth3(d: Diagram, crossing: int) -> Diagram:

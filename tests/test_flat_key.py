@@ -2,6 +2,7 @@
 invariance on multi-component links."""
 
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -60,11 +61,12 @@ def symmetric_block(rng: random.Random, k: int, m: int, split: bool,
     return [tuple(p for w in words for p in w)]
 
 
-def mixed_diagram(seed: int) -> Diagram:
-    """A symmetric block, a random component and maybe an empty one, in a
-    random order: at most five components."""
+def mixed_diagram(seed: int, word_sizes=(2, 4)) -> Diagram:
+    """A symmetric block of words of one of ``word_sizes`` passages, a
+    random component and maybe an empty one, in a random order: at most
+    five components."""
     rng = random.Random(seed)
-    k, m = rng.randint(2, 3), rng.choice((2, 4))
+    k, m = rng.randint(2, 3), rng.choice(word_sizes)
     comps = symmetric_block(rng, k, m, rng.random() < 0.5, first_id=1)
     used = k * m // 2
     (extra,) = random_chord_diagram(rng, rng.randint(0, 3), 1).components
@@ -76,6 +78,12 @@ def mixed_diagram(seed: int) -> Diagram:
 
 def with_type2_smoothings(d: Diagram) -> list[Diagram]:
     return [d] + [smooth2(d, c) for c in d.crossing_ids() if d.is_self_crossing(c)]
+
+
+def oracle_sized(diagrams: list[Diagram]) -> list[Diagram]:
+    """The diagrams whose rotation product is small enough for the oracle."""
+    return [x for x in diagrams
+            if math.prod(max(len(c), 1) for c in x.components) <= 5000]
 
 
 def test_oracle_on_fixed_codes():
@@ -92,6 +100,17 @@ def test_oracle_on_fixed_codes():
         assert flat_key(d) == text
 
 
+def test_oracle_on_fixed_code_past_label_9():
+    # Decimal text order puts 10 and 11 before 2: ordering the labels as
+    # numbers would end the key "...;1'.2'.11+...".
+    d = parse("O7+U8-;O2-U2-U5-O3+U12+U9-O5-U10-O10-O12+U4+O6+;"
+              "O4+U6+U11+O8-U7+O11+O9-U3+")
+    text = ("1+.2+;3+.3'.4+.5-.6+.7-.7'.8+.9+.4'.10+.8';"
+            "1'.11+.10'.9'.5'.6'.11'.2'")
+    assert oracle_text(d) == text
+    assert flat_key(d) == text
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 7), st.integers(1, 5))
 def test_key_text_equals_oracle_on_random_diagrams(seed, n_chords, n_components):
@@ -105,6 +124,24 @@ def test_key_text_equals_oracle_on_random_diagrams(seed, n_chords, n_components)
 def test_key_text_equals_oracle_on_symmetric_diagrams(seed):
     d = mixed_diagram(seed)
     for x in with_type2_smoothings(d):
+        assert flat_key(x) == oracle_text(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(9, 13), st.integers(1, 3))
+def test_key_text_equals_oracle_past_label_9(seed, n_chords, n_components):
+    # With 10 or more crossings, decimal text order (10 < 2) and number
+    # order of the labels differ.
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    for x in oracle_sized(with_type2_smoothings(d)):
+        assert flat_key(x) == oracle_text(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_key_text_equals_oracle_on_symmetric_diagrams_past_label_9(seed):
+    d = mixed_diagram(seed, word_sizes=(6, 8))
+    for x in oracle_sized(with_type2_smoothings(d)):
         assert flat_key(x) == oracle_text(x)
 
 

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vknots import (
     PreconditionError,
@@ -14,7 +18,8 @@ from vknots import (
 from vknots.invariants import dwrithe
 from vknots.labeling import index_map
 from vknots.moves import apply_move, enumerate_moves
-from conftest import random_knot, random_link2
+from vknots.smoothing import smooth2_changed
+from conftest import random_chord_diagram, random_knot, random_link2
 
 
 def test_component_count_laws(vtref, hopf):
@@ -112,6 +117,18 @@ def test_smooth2_crossing_change_swaps_and_reverses():
                 reverse_component(reverse_component(a, 1), 2), (2, 1)
             )
             assert serialize(transformed) == serialize(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 8), st.integers(1, 3))
+def test_smooth2_changed_is_smooth2_after_crossing_change(seed, n_chords, n_components):
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    for cid in d.crossing_ids():
+        if d.is_self_crossing(cid):
+            assert smooth2_changed(d, cid) == smooth2(crossing_change(d, cid), cid)
+        else:
+            with pytest.raises(PreconditionError):
+                smooth2_changed(d, cid)
 
 
 def test_smoothed_dwrithe_stable_under_far_moves(k431):
