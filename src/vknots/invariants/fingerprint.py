@@ -5,10 +5,10 @@ component count n: ``("ncomp", n)``, a "component" vector per component
 (difference writhes and (n,m) refinements), a "pair" vector per pair (span,
 flat spans) and, below a depth bound, a "bflat" map per component (its bucketed
 flat B-sum).  Each sums over crossings: zero over none, with no sublink or
-B-sum built; a sublink of all components is the diagram.  Equal flat classes
-have equal fingerprints, so bucketing the terms of a formal sum by fingerprint
-and finding a bucket with nonzero total coefficient certifies that the sum is
-nonzero; nothing here ever certifies equality.
+B-sum built; a pair is read off its passages, with no Diagram built.  Equal
+flat classes have equal fingerprints, so bucketing the terms of a formal sum
+by fingerprint and finding a bucket with nonzero total coefficient certifies
+that the sum is nonzero; nothing here ever certifies equality.
 
 One wrinkle: a kink move changes a B-sum by one term whose class is the
 diagram with an unknot added (in one of two computable ways).  Raw bucket
@@ -24,7 +24,7 @@ from __future__ import annotations
 from ..diagram import Diagram, component_index, crossing_groups, splice
 from ..memo import memo
 from .flatsums import FlatSum, b_flat_sum
-from .spans import fspan_window, linking_numbers
+from .spans import fspan_window, span_table
 from .writhes import dwrithe, dwrithe_nm
 
 __all__ = [
@@ -41,16 +41,13 @@ DEFAULT_WINDOW = 3
 DEFAULT_DEPTH = 2
 
 
-def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> Diagram:
-    """The components in ``keep`` (0-based, order preserved) with only the
-    crossings in ``kept``, which must be every crossing that lies on kept
-    components alone: ``d`` itself when every component is kept."""
-    if len(keep) == d.n_components:
-        return d
-    return Diagram(tuple(
+def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> tuple:
+    """The passages of the components in ``keep`` (0-based, in order) with
+    only the crossings in ``kept``: every crossing on kept components alone."""
+    return tuple(
         tuple(p for p in d.components[ci] if p.crossing in kept)
         for ci in keep
-    ))
+    )
 
 
 def _knot_vector(d: Diagram, window: int) -> tuple:
@@ -63,8 +60,9 @@ def _knot_vector(d: Diagram, window: int) -> tuple:
     return ("dj", dj, "djnm", djnm)
 
 
-def _pair_vector(d: Diagram, window: int) -> tuple:
-    return ("span", linking_numbers(d).span, "fspan", fspan_window(d, window))
+def _pair_vector(first: tuple, second: tuple, window: int) -> tuple:
+    rows = span_table(first, second)
+    return ("span", sum(s for s, _ in rows), "fspan", fspan_window(rows, window))
 
 
 def kink_class_fingerprints(d: Diagram, i: int, depth: int,
@@ -92,7 +90,8 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
     for ci in range(n):
         vec = ("dj", (0,) * window, "djnm", (0,) * window ** 2)
         if (ci,) in groups:
-            vec = _knot_vector(_sublink(d, (ci,), groups[ci,]), window)
+            knot = d if n == 1 else Diagram(_sublink(d, (ci,), groups[ci,]))
+            vec = _knot_vector(knot, window)
         data.append(("component", ci + 1, vec))
     for i in range(n):
         for j in range(i + 1, n):
@@ -100,7 +99,7 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
             if (i, j) in groups:
                 kept = groups[i, j].union(groups.get((i,), ()),
                                           groups.get((j,), ()))
-                vec = _pair_vector(_sublink(d, (i, j), kept), window)
+                vec = _pair_vector(*_sublink(d, (i, j), kept), window)
             data.append(("pair", i + 1, j + 1, vec))
     if depth > 0:
         for ci in range(n):

@@ -9,9 +9,10 @@ to the crossings of a knot gives the three-variable polynomial family.
 
 The spans of a link are read from one memoised row per inter-component
 crossing (``span_table``), which reads the writhe table of each such
-crossing's type-3 smoothing off the link's passages, without building the
-smoothed Diagram; any (n,k)-span, or a whole window of them, is one pass
-over those rows.
+crossing's type-3 smoothing off the two components' passage tuples, with
+no Diagram built, so a fingerprint reads any pair of a link's components
+this way; the span, any (n,k)-span, or a whole window of flat spans is
+one pass over those rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from ..diagram import OVER, Diagram, crossing_groups, require_knot
+from ..diagram import OVER, Diagram, require_knot
 from ..errors import PreconditionError
 from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
@@ -61,68 +62,62 @@ def _require_two_components(d: Diagram, what: str) -> None:
         )
 
 
-def _inter_crossings(d: Diagram):
-    """(crossing, first_component_is_over) for crossings joining the two
-    components of a 2-component diagram, in crossing-id order."""
-    over = {p.crossing for p in d.components[0] if p.strand == OVER}
-    return [(c, c in over) for c in sorted(crossing_groups(d).get((0, 1), ()))]
-
-
 def linking_numbers(d: Diagram) -> LinkingNumbers:
     """Over- and under-linking numbers of an ordered 2-component link."""
     _require_two_components(d, "linking numbers")
-    over = under = 0
-    for c, first_over in _inter_crossings(d):
-        if first_over:
-            over += d.sign(c)
-        else:
-            under += d.sign(c)
-    return LinkingNumbers(over, under)
+    lk = [0, 0]  # indexed by the over passage's component
+    for c in d.crossing_ids():
+        oc, uc = d.components_of(c)
+        if oc != uc:
+            lk[oc] += d.sign(c)
+    return LinkingNumbers(*lk)
 
 
 @memo
-def span_table(d: Diagram) -> tuple:
-    """One row ``(s, table)`` per crossing joining the two components of a
-    2-component diagram: s is its sign when the first component passes
-    over and minus its sign otherwise, and table is the writhe table of
-    its type-3 smoothing, as a read-only view."""
+def span_table(first: tuple, second: tuple) -> tuple:
+    """One row ``(s, table)`` per crossing joining two components, given as
+    their passage tuples, in crossing-id order: s is its sign when
+    ``first`` passes over and minus its sign otherwise, and table is the
+    writhe table of its type-3 smoothing, as a read-only view."""
+    at = {p.crossing: j for j, p in enumerate(second)}
+    joins = sorted((p.crossing, i) for i, p in enumerate(first) if p.crossing in at)
     return tuple(
-        (d.sign(c) if first_over else -d.sign(c),
-         MappingProxyType(writhe_totals(index_walk(*type3_segments(d, c)))))
-        for c, first_over in _inter_crossings(d)
+        (first[i].sign if first[i].strand == OVER else -first[i].sign,
+         MappingProxyType(writhe_totals(
+             index_walk(*type3_segments(first, i, second, at[c])))))
+        for c, i in joins
     )
 
 
-def _require_nk(d: Diagram, n: int) -> None:
+def _nk_rows(d: Diagram, n: int) -> tuple:
+    """The ``span_table`` rows of a link, after the (n,k)-span's checks."""
     _require_two_components(d, "the (n,k)-span")
     if n <= 0:
         raise PreconditionError("the (n,k)-span requires n > 0")
+    return span_table(*d.components)
 
 
 def span_nk(d: Diagram, n: int, k: int) -> int:
     """Signed over-minus-under count over crossings whose type-3 smoothing
     has n-th difference writhe k."""
-    _require_nk(d, n)
-    return sum(s for s, table in span_table(d) if difference(table, n) == k)
+    return sum(s for s, table in _nk_rows(d, n) if difference(table, n) == k)
 
 
 def fspan_nk(d: Diagram, n: int, k: int) -> int:
     """Flat span: symmetrized in k, hence crossing-change invariant;
     ``span_nk(d, n, k) + span_nk(d, n, -k)`` in one pass."""
-    _require_nk(d, n)
     k = abs(k)
-    total = sum(s for s, table in span_table(d) if abs(difference(table, n)) == k)
+    total = sum(s for s, table in _nk_rows(d, n) if abs(difference(table, n)) == k)
     # k = 0 enters both terms of the symmetrized sum.
     return total if k else 2 * total
 
 
-def fspan_window(d: Diagram, window: int) -> tuple:
-    """``fspan_nk(d, n, k)`` for n in 1..window and k in 0..window, n
-    major, in one pass over ``span_table(d)``."""
-    _require_two_components(d, "the (n,k)-span")
+def fspan_window(rows: tuple, window: int) -> tuple:
+    """The flat spans ``fspan_nk`` of the link whose ``span_table`` is
+    ``rows``, for n in 1..window and k in 0..window, n major, in one pass."""
     width = window + 1
     acc = [0] * (window * width)
-    for s, table in span_table(d):
+    for s, table in rows:
         for n in range(1, width):
             k = abs(difference(table, n))
             if k <= window:

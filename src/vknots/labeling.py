@@ -19,10 +19,10 @@ i.e. the decrementing strand's incoming label minus the incrementing
 strand's, minus one.  Labels are pinned to 0 on each component's first arc;
 the index is independent of that choice.
 
-``index_walk`` is the one implementation of that formula: a single walk
-along a knot's passages, or along a smoothing's segment pair
-(``smoothing.type1_segments``, ``type3_segments``) with no smoothed
-Diagram built.  ``index_map`` is the walk over a knot's own component.
+``index_walk`` is the one implementation of that formula: one walk along
+a knot's passages, or along a smoothing's segment pair with no smoothed
+Diagram built (``smoothing.type1_segments``, or ``type3_segments`` of two
+components' passages).  ``index_map`` walks a knot's own component.
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ merged knot's orientation, which is what makes the flat span machinery
 work.
 
 Types 1 and 3 are each stated once, as the segment pair ``(fwd, back)``
-of their one loop (``type1_segments``, ``type3_segments``).  ``smooth1``
-and ``smooth3`` splice that pair; the writhe tables of a smoothing are
-read off the same pair by ``labeling.index_walk``, with no Diagram built.
+of their one loop (``type1_segments``; ``type3_segments``, on the passages
+of two components alone).  ``smooth1`` and ``smooth3`` splice it, and
+``labeling.index_walk`` reads its writhe tables with no Diagram built.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, splice
+from .diagram import OVER, Diagram, splice
 from .errors import PreconditionError
 from .memo import memo
 
@@ -71,17 +71,14 @@ def type1_segments(d: Diagram, crossing: int) -> tuple:
     return _split_self(d, crossing, "type-1 smoothing")[1:]
 
 
-def type3_segments(d: Diagram, crossing: int) -> tuple:
-    """The segment pair ``(fwd, back)`` of the type-3 smoothing: the over
-    passage's component after it, and the under passage's after it, so the
-    under passage's component is the one reversed."""
-    (oc, oi), (uc, ui) = d.passage_positions(crossing)
-    if oc == uc:
-        raise PreconditionError(
-            f"type-3 smoothing requires a crossing of two components; "
-            f"crossing {crossing} is a self-crossing of component {oc + 1}"
-        )
-    return _after(d.components[oc], oi), _after(d.components[uc], ui)
+def type3_segments(first, i: int, second, j: int) -> tuple:
+    """The segment pair ``(fwd, back)`` of the type-3 smoothing at the
+    crossing met at ``first[i]`` and ``second[j]`` (the passages of two
+    components): the over passage's component after it, then the under
+    passage's after it, so the under passage's component is reversed."""
+    if first[i].strand == OVER:
+        return _after(first, i), _after(second, j)
+    return _after(second, j), _after(first, i)
 
 
 @memo
@@ -115,4 +112,11 @@ def smooth2_changed(d: Diagram, crossing: int) -> Diagram:
 def smooth3(d: Diagram, crossing: int) -> Diagram:
     """Type-3 smoothing: two components merge; result has one fewer, at
     the smaller of the two slots."""
-    return splice(d, d.components_of(crossing), type3_segments(d, crossing))
+    (oc, oi), (uc, ui) = d.passage_positions(crossing)
+    if oc == uc:
+        raise PreconditionError(
+            f"type-3 smoothing requires a crossing of two components; "
+            f"crossing {crossing} is a self-crossing of component {oc + 1}"
+        )
+    comps = d.components
+    return splice(d, (oc, uc), type3_segments(comps[oc], oi, comps[uc], ui))

@@ -44,6 +44,17 @@ def kishino():
     return named("KISHINO")
 
 
+def oracle_sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
+    """The components in ``keep`` (0-based, in order) with every crossing
+    that touches another component dropped, found by its own crossing scan."""
+    kept = set(keep)
+    dropped = {c for c in d.crossing_ids() if not set(d.components_of(c)) <= kept}
+    return Diagram(tuple(
+        tuple(p for p in d.components[ci] if p.crossing not in dropped)
+        for ci in keep
+    ))
+
+
 def random_chord_diagram(rng: random.Random, n_chords: int,
                          n_components: int = 1) -> Diagram:
     """Uniform-ish random signed Gauss diagram; passages spread over the

@@ -12,6 +12,7 @@ when the raw map is empty.
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib
 
 import pytest
@@ -25,21 +26,13 @@ from vknots.invariants import (
     fingerprint,
     flat_sum,
     flatsum_fingerprint,
+    linking_numbers,
     restricted_flatsum_fingerprint,
 )
 from vknots.invariants.fingerprint import _knot_vector, _pair_vector, _sublink
-from conftest import named
+from conftest import named, oracle_sublink
 
 fingerprint_module = importlib.import_module("vknots.invariants.fingerprint")
-
-
-def _oracle_sublink(d: Diagram, keep: tuple[int, ...]) -> Diagram:
-    kept = set(keep)
-    dropped = {c for c in d.crossing_ids() if not set(d.components_of(c)) <= kept}
-    return Diagram(tuple(
-        tuple(p for p in d.components[ci] if p.crossing not in dropped)
-        for ci in keep
-    ))
 
 
 def _oracle_kink_classes(d: Diagram, i: int) -> tuple[Diagram, Diagram]:
@@ -64,11 +57,11 @@ def _oracle(d: Diagram, depth: int, window: int) -> tuple:
     data: list = [("ncomp", n)]
     for ci in range(n):
         data.append(("component", ci + 1,
-                     _knot_vector(_oracle_sublink(d, (ci,)), window)))
+                     _knot_vector(oracle_sublink(d, (ci,)), window)))
     for i in range(n):
         for j in range(i + 1, n):
             data.append(("pair", i + 1, j + 1,
-                         _pair_vector(_oracle_sublink(d, (i, j)), window)))
+                         _pair_vector(*oracle_sublink(d, (i, j)).components, window)))
     if depth > 0:
         for i in range(1, n + 1):
             data.append(("bflat", i,
@@ -180,4 +173,43 @@ def test_component_without_self_crossings_takes_no_b_sum(monkeypatch, code, call
 def test_sublink_keeping_every_component_is_the_diagram(code):
     d = parse(code)
     keep = tuple(range(d.n_components))
-    assert _sublink(d, keep, set(d.crossing_ids())) is d
+    assert _sublink(d, keep, set(d.crossing_ids())) == d.components
+
+
+def test_knot_vector_reads_the_knot_itself(monkeypatch, k431):
+    seen = []
+    monkeypatch.setattr(fingerprint_module, "_knot_vector",
+                        lambda k, window: seen.append(k) or _knot_vector(k, window))
+    memo.clear()
+    fingerprint(k431, 0, 2)
+    memo.clear()
+    assert len(seen) == 1 and seen[0] is k431
+
+
+def test_pair_vectors_build_no_diagram(monkeypatch):
+    """At depth 0 the only Diagrams a fingerprint builds are the sublinks of
+    the components with self-crossings; no pair builds one."""
+    d = parse("O1+O2+U1+U2+O4+U5-O6+U6+;O3-U4+;U3-O5-O7+U7+")
+    built = []
+    real = Diagram.__post_init__
+    monkeypatch.setattr(Diagram, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    memo.clear()
+    fp = fingerprint(d, 0, 3)
+    memo.clear()
+    monkeypatch.undo()
+    assert built == [oracle_sublink(d, (0,)), oracle_sublink(d, (2,))]
+    spans = [entry[3][1] for entry in fp if entry[0] == "pair"]
+    assert spans == [linking_numbers(oracle_sublink(d, ij)).span
+                     for ij in ((0, 1), (0, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("VK1", "12ead1f98c222a732633bf65d8b5ec21d3703d439428bf06b587d9a9ef444589"),
+    ("VK2", "2df9a97400237529987ce406beacb503d52cf15a61b97ac0876133c0bc04f7e4"),
+], ids=["VK1", "VK2"])
+def test_depth_two_fingerprints_are_pinned(name, digest):
+    """Byte for byte, so a fault inside the vectors that the oracle shares
+    with the code under test still shows."""
+    fp = fingerprint(named(name), 2, 3)
+    assert hashlib.sha256(repr(fp).encode()).hexdigest() == digest

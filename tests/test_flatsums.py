@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from vknots import PreconditionError, crossing_change, flat_key, serialize
+from vknots import PreconditionError, crossing_change, flat_key, parse, serialize
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
@@ -15,7 +15,7 @@ from vknots.invariants import (
 )
 from vknots.invariants.fingerprint import _sublink
 from vknots.smoothing import smooth2
-from conftest import random_knot, walk_corpus
+from conftest import oracle_sublink, random_knot, walk_corpus
 
 
 def _within(d, comps):
@@ -76,7 +76,7 @@ def test_kishino_linked_third_component(kishino):
     for c in self_crossings(k1, 2):
         for dd in (smooth2(k1, c), smooth2(crossing_change(k1, c), c)):
             spans = tuple(
-                linking_numbers(_sublink(dd, (i, 2), _within(dd, {i, 2}))).span
+                linking_numbers(oracle_sublink(dd, (i, 2))).span
                 for i in (0, 1)
             )
             patterns.append(spans)
@@ -150,5 +150,12 @@ def test_fingerprint_component_count(unknot, hopf):
 
 
 def test_sublink_extraction(hopf):
-    assert serialize(_sublink(hopf, (0,), _within(hopf, {0}))) == "0"
-    assert serialize(_sublink(hopf, (0, 1), _within(hopf, {0, 1}))) == serialize(hopf)
+    assert _sublink(hopf, (0,), _within(hopf, {0})) == ((),)
+    assert _sublink(hopf, (0, 1), _within(hopf, {0, 1})) == hopf.components
+    assert serialize(oracle_sublink(hopf, (0,))) == "0"
+    assert oracle_sublink(hopf, (0, 1)) == hopf
+    # a pair of a 3-component link keeps only the crossings on it alone
+    dd = parse("O1+O2+U1+U2+O4+U5-O6+U6+;O3-U4+;U3-O5-O7+U7+")
+    for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+        assert _sublink(dd, keep, _within(dd, set(keep))) \
+            == oracle_sublink(dd, keep).components, keep

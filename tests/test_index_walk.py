@@ -7,17 +7,20 @@ positions as the surgery reads, and each index comes from the diagram's
 arc labels."""
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots import Diagram, Passage, arc_labeling
+from vknots.diagram import crossing_groups
+from vknots.invariants.fingerprint import _sublink
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import smoothed_writhe_table, writhe_totals
 from vknots.labeling import index_map, index_walk
 from vknots.smoothing import smooth1, smooth2, smooth3, type1_segments, type3_segments
 
-from conftest import random_chord_diagram
+from conftest import oracle_sublink, random_chord_diagram
 
 
 # -- oracles -------------------------------------------------------------------
@@ -131,14 +134,40 @@ def test_walk_reads_type3_smoothings_off_the_link(seed, n_chords):
     d = random_chord_diagram(random.Random(seed), n_chords, 2)
     want = []
     for c in d.crossing_ids():
-        oc, uc = d.components_of(c)
+        (oc, oi), (uc, ui) = d.passage_positions(c)
         if oc == uc:
             continue
         k = oracle_smooth3(d, c)
         assert smooth3(d, c) == k
-        assert _walk_table(type3_segments(d, c)) == oracle_table(k), c
+        over, under = (d.components[oc], oi), (d.components[uc], ui)
+        # the rule picks the over passage's component, in either argument order
+        assert type3_segments(*over, *under) == type3_segments(*under, *over)
+        assert _walk_table(type3_segments(*over, *under)) == oracle_table(k), c
         want.append((d.sign(c) if oc == 0 else -d.sign(c), oracle_table(k)))
-    assert [(s, dict(t)) for s, t in span_table(d)] == want
+    assert [(s, dict(t)) for s, t in span_table(*d.components)] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 16), st.integers(3, 4))
+def test_span_table_reads_a_pair_cut_off_a_link(seed, n_chords, n_components):
+    """The rows of each pair of a 3- or 4-component link, read off the
+    fingerprint's cut of the link's passages, against the type-3 smoothings
+    of the pair's sublink Diagram."""
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    groups = crossing_groups(d)
+    for i, j in combinations(range(n_components), 2):
+        sub = oracle_sublink(d, (i, j))
+        want = []
+        for c in sub.crossing_ids():
+            oc, uc = sub.components_of(c)
+            if oc != uc:
+                k = oracle_smooth3(sub, c)
+                assert smooth3(sub, c) == k
+                want.append((sub.sign(c) if oc == 0 else -sub.sign(c), oracle_table(k)))
+        kept = set().union(*(groups.get(g, ()) for g in ((i,), (j,), (i, j))))
+        cut = _sublink(d, (i, j), kept)
+        assert cut == sub.components
+        assert [(s, dict(t)) for s, t in span_table(*cut)] == want, (i, j)
 
 
 @settings(max_examples=80, deadline=None)

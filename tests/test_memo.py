@@ -38,7 +38,7 @@ def test_memoised_tables_are_read_only(k431, hopf):
     """A memoised value is shared by every later caller, so none can be
     edited in place: mappings are read-only views, rows are tuples."""
     link = parse("U2-U4+;O1-O4+U1-O2-")  # K431 split at crossing 3
-    rows = span_table(link)
+    rows = span_table(*link.components)
     assert rows == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
     assert all(isinstance(row, tuple) for row in rows)
     tables = [index_map(k431), smoothed_writhe_table(k431, 1)] \
@@ -49,7 +49,7 @@ def test_memoised_tables_are_read_only(k431, hopf):
         with pytest.raises(AttributeError):
             table.clear()
     assert dict(smoothed_writhe_table(k431, 1)) == {1: -3, -1: 1, 2: 1, -2: -1}
-    assert span_table(link) == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
+    assert span_table(*link.components) == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
     assert isinstance(fingerprint(hopf, 0, 1), tuple)
 
 

@@ -15,6 +15,7 @@ from vknots.invariants import (
     dwrithe,
     dwrithe_nm,
     fspan_nk,
+    linking_numbers,
     nested_dwrithe,
     span_nk,
     tilde_f,
@@ -140,7 +141,8 @@ def test_span_tables_match_per_crossing_sums(seed, n_chords, n_components):
         scalar = tuple(fspan_nk(d, n, k)
                        for n in range(1, window + 1)
                        for k in range(0, window + 1))
-        assert _pair_vector(d, window)[3] == scalar, window
+        assert _pair_vector(*d.components, window)[3] == scalar, window
+    assert _pair_vector(*d.components, 1)[1] == linking_numbers(d).span
 
 
 def test_precondition_messages_are_unchanged(vtref, hopf):
