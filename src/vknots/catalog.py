@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .diagram import Diagram, parse
 from .errors import GaussCodeError
@@ -54,9 +55,10 @@ def load_catalog(path: str) -> list[CatalogEntry]:
 
 
 @lru_cache(maxsize=1)
-def builtin_catalog() -> dict[str, CatalogEntry]:
+def builtin_catalog() -> MappingProxyType[str, CatalogEntry]:
     text = resources.files("vknots.data").joinpath("catalog.tsv").read_text("utf-8")
-    return {e.name: e for e in parse_catalog(text, source="builtin catalog")}
+    entries = parse_catalog(text, source="builtin catalog")
+    return MappingProxyType({e.name: e for e in entries})
 
 
 def lookup(name: str) -> CatalogEntry | None:

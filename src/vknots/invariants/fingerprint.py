@@ -4,11 +4,12 @@ A fingerprint is a vector of flat invariants of a diagram, one layout for any
 component count n: ``("ncomp", n)``, a "component" vector per component
 (difference writhes and (n,m) refinements), a "pair" vector per pair (span,
 flat spans) and, below a depth bound, a "bflat" map per component (its bucketed
-flat B-sum).  Each sums over crossings: zero over none, with no sublink or
-B-sum built; a pair is read off its passages, with no Diagram built.  Equal
-flat classes have equal fingerprints, so bucketing the terms of a formal sum
-by fingerprint and finding a bucket with nonzero total coefficient certifies
-that the sum is nonzero; nothing here ever certifies equality.
+flat B-sum).  Each sums over crossings: a pair or B-sum over none is zero and
+not built, and a component or pair is memoised on its cut passages, so only a
+component's memo miss builds a Diagram.  Equal flat classes have equal
+fingerprints, so bucketing the terms of a formal sum by fingerprint and
+finding a bucket with nonzero total coefficient certifies that the sum is
+nonzero; nothing here ever certifies equality.
 
 One wrinkle: a kink move changes a B-sum by one term whose class is the
 diagram with an unknot added (in one of two computable ways).  Raw bucket
@@ -50,7 +51,9 @@ def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> tuple:
     )
 
 
-def _knot_vector(d: Diagram, window: int) -> tuple:
+@memo
+def _knot_vector(comp: tuple, window: int) -> tuple:
+    d = Diagram((comp,))
     dj = tuple(dwrithe(d, n) for n in range(1, window + 1))
     djnm = tuple(
         dwrithe_nm(d, n, m)
@@ -83,16 +86,13 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
                 window: int = DEFAULT_WINDOW) -> tuple:
     """Flat invariant vector of an ordered oriented diagram, as a tuple."""
     n = d.n_components
-    # A sum over no crossings is zero, so no sublink or B-sum is built for a
-    # component without self-crossings or a pair without joining crossings.
+    # A sum over no crossings is zero, so no span rows or B-sum are built for
+    # a pair without joining crossings or a component without self-crossings.
     groups = crossing_groups(d)
     data: list = [("ncomp", n)]
     for ci in range(n):
-        vec = ("dj", (0,) * window, "djnm", (0,) * window ** 2)
-        if (ci,) in groups:
-            knot = d if n == 1 else Diagram(_sublink(d, (ci,), groups[ci,]))
-            vec = _knot_vector(knot, window)
-        data.append(("component", ci + 1, vec))
+        cut = _sublink(d, (ci,), groups.get((ci,), set()))
+        data.append(("component", ci + 1, _knot_vector(*cut, window)))
     for i in range(n):
         for j in range(i + 1, n):
             vec = ("span", 0, "fspan", (0,) * (window * (window + 1)))

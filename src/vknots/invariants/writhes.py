@@ -15,14 +15,12 @@ Every index comes from ``labeling.index_walk``: ``writhe_table`` reads a
 knot's through the memoised ``index_map``, which the polynomials ask for
 too, and the writhe table of a smoothing is summed from the walk over the
 parent's segment pair (``writhe_totals``), so no smoothed Diagram is built
-for it.  ``dwrithe`` is memoised per (diagram, n) and
-``smoothed_writhe_table`` per (diagram, m).  ``writhe_table`` is not: its
-only readers are ``writhe_n`` and the memoised ``dwrithe``.
+for it.  Only ``dwrithe`` is memoised, per (diagram, n): the polynomials ask
+for it on the same smoothings, and a fingerprint memoises whole knot vectors.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping
 
 from ..diagram import OVER, Diagram, require_knot
@@ -138,10 +136,9 @@ def f_poly(d: Diagram, n: int) -> LaurentPoly:
     return crossing_poly(FPOLY_VARS, rows)
 
 
-@memo
-def smoothed_writhe_table(d: Diagram, m: int) -> Mapping[int, int]:
+def smoothed_writhe_table(d: Diagram, m: int) -> dict[int, int]:
     """Index j -> sum of sign(c) * writhe_j(smooth1(d, c)) over the
-    crossings c of index m or -m (m > 0), as a read-only view.
+    crossings c of index m or -m (m > 0).
 
     Only those crossings are smoothed: ``f_poly_nmk`` asks for the table of
     every type-1 smoothing of a diagram, and smoothing all of their
@@ -153,7 +150,7 @@ def smoothed_writhe_table(d: Diagram, m: int) -> Mapping[int, int]:
             s = d.sign(c)
             for _, t, j in index_walk(*type1_segments(d, c)):
                 acc[j] = acc.get(j, 0) + s * t
-    return MappingProxyType(acc)
+    return acc
 
 
 def dwrithe_nm(d: Diagram, n: int, m: int) -> int:

@@ -5,8 +5,8 @@ command asks for the same smoothed diagram, index map or difference writhe
 many times.  Every function that caches such per-diagram results does so
 through ``memo``: a C ``functools.lru_cache`` (hits stay cheap) bounded by
 ``MAXSIZE`` and keyed on its arguments: a hashable, immutable ``Diagram``
-(for ``span_table``, the two passage tuples of a pair of components) and
-the rest.  Every table is registered in ``TABLES``.
+(for ``span_table`` and ``_knot_vector``, cut passage tuples, which equal cuts
+of any diagrams share) and the rest.  Every table is registered in ``TABLES``.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

@@ -57,7 +57,7 @@ def _oracle(d: Diagram, depth: int, window: int) -> tuple:
     data: list = [("ncomp", n)]
     for ci in range(n):
         data.append(("component", ci + 1,
-                     _knot_vector(oracle_sublink(d, (ci,)), window)))
+                     _knot_vector(*oracle_sublink(d, (ci,)).components, window)))
     for i in range(n):
         for j in range(i + 1, n):
             data.append(("pair", i + 1, j + 1,
@@ -133,7 +133,7 @@ def test_knot_takes_the_component_layout():
     k431 = named("K431")
     fp = fingerprint(k431, 1, 2)
     assert [entry[0] for entry in fp] == ["ncomp", "component", "bflat"]
-    assert fp[:2] == (("ncomp", 1), ("component", 1, _knot_vector(k431, 2)))
+    assert fp[:2] == (("ncomp", 1), ("component", 1, _knot_vector(*k431.components, 2)))
 
 
 @pytest.mark.parametrize("depth", [0, 1])
@@ -177,28 +177,34 @@ def test_sublink_keeping_every_component_is_the_diagram(code):
 
 
 def test_knot_vector_reads_the_knot_itself(monkeypatch, k431):
+    """A knot's one component is its own cut: every crossing is kept."""
     seen = []
     monkeypatch.setattr(fingerprint_module, "_knot_vector",
-                        lambda k, window: seen.append(k) or _knot_vector(k, window))
+                        lambda comp, window: seen.append(comp) or _knot_vector(comp, window))
     memo.clear()
     fingerprint(k431, 0, 2)
     memo.clear()
-    assert len(seen) == 1 and seen[0] is k431
+    assert seen == [k431.components[0]]
 
 
 def test_pair_vectors_build_no_diagram(monkeypatch):
-    """At depth 0 the only Diagrams a fingerprint builds are the sublinks of
-    the components with self-crossings; no pair builds one."""
+    """At depth 0 the only Diagrams a fingerprint builds are the knots of
+    its components' cuts, on a memo miss: the crossing-free component 2
+    included, no pair's, and none once every cut is in the memo."""
     d = parse("O1+O2+U1+U2+O4+U5-O6+U6+;O3-U4+;U3-O5-O7+U7+")
+    with_circle = Diagram(d.components + ((),))
     built = []
     real = Diagram.__post_init__
     monkeypatch.setattr(Diagram, "__post_init__",
                         lambda self: built.append(self) or real(self))
     memo.clear()
     fp = fingerprint(d, 0, 3)
+    cold = list(built)
+    fingerprint(with_circle, 0, 3)
     memo.clear()
     monkeypatch.undo()
-    assert built == [oracle_sublink(d, (0,)), oracle_sublink(d, (2,))]
+    assert cold == [oracle_sublink(d, (0,)), Diagram(((),)), oracle_sublink(d, (2,))]
+    assert built == cold
     spans = [entry[3][1] for entry in fp if entry[0] == "pair"]
     assert spans == [linking_numbers(oracle_sublink(d, ij)).span
                      for ij in ((0, 1), (0, 2), (1, 2))]
@@ -207,7 +213,9 @@ def test_pair_vectors_build_no_diagram(monkeypatch):
 @pytest.mark.parametrize("name, digest", [
     ("VK1", "12ead1f98c222a732633bf65d8b5ec21d3703d439428bf06b587d9a9ef444589"),
     ("VK2", "2df9a97400237529987ce406beacb503d52cf15a61b97ac0876133c0bc04f7e4"),
-], ids=["VK1", "VK2"])
+    ("VK3", "921c1febe126c55a24146a38c57e19386a7763b21024810711c09d74dc1b3125"),
+    ("VK4", "40ad461a872bd8e109b4abd6ea28335f30f3f628e9b64b27fb0ea11c90fa3b85"),
+], ids=["VK1", "VK2", "VK3", "VK4"])
 def test_depth_two_fingerprints_are_pinned(name, digest):
     """Byte for byte, so a fault inside the vectors that the oracle shares
     with the code under test still shows."""

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import memo, parse
+from vknots import builtin_catalog, lookup, memo, parse
 from vknots.cli import _default_battery, main
 from vknots.invariants import comparable_invariant, dwrithe, fingerprint
+from vknots.invariants.fingerprint import _knot_vector
 from vknots.invariants.spans import span_table
-from vknots.invariants.writhes import smoothed_writhe_table
 from vknots.labeling import index_map
 from vknots.smoothing import smooth1
 
@@ -28,8 +28,7 @@ def _totals():
 
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
-        index_map, smooth1, dwrithe, smoothed_writhe_table, span_table,
-        fingerprint,
+        index_map, smooth1, dwrithe, span_table, _knot_vector, fingerprint,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
 
@@ -41,16 +40,30 @@ def test_memoised_tables_are_read_only(k431, hopf):
     rows = span_table(*link.components)
     assert rows == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
     assert all(isinstance(row, tuple) for row in rows)
-    tables = [index_map(k431), smoothed_writhe_table(k431, 1)] \
-        + [table for _, table in rows]
+    tables = [index_map(k431)] + [table for _, table in rows]
     for table in tables:
         with pytest.raises(TypeError):
             table[1] = 7
         with pytest.raises(AttributeError):
             table.clear()
-    assert dict(smoothed_writhe_table(k431, 1)) == {1: -3, -1: 1, 2: 1, -2: -1}
     assert span_table(*link.components) == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
+    vec = _knot_vector(*k431.components, 2)
+    assert isinstance(vec, tuple) and all(isinstance(x, (str, tuple)) for x in vec)
     assert isinstance(fingerprint(hopf, 0, 1), tuple)
+
+
+def test_builtin_catalog_is_read_only():
+    """The catalog is loaded once per process and shared by every caller."""
+    catalog = builtin_catalog()
+    entry = lookup("VK3")
+    with pytest.raises(TypeError):
+        catalog["VK3"] = None
+    with pytest.raises(TypeError):
+        del catalog["VK3"]
+    with pytest.raises(AttributeError):
+        catalog.pop("VK3")
+    assert lookup("VK3") is entry is not None
+    assert builtin_catalog() is catalog and "VK3" in catalog
 
 
 def test_clear_keeps_cumulative_counts(vtref):
