@@ -368,6 +368,11 @@ def main(argv=None) -> int:
     except (PreconditionError, InconsistentLabelingError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): send what is still buffered to
+        # devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer the pipe killed
     finally:
         memo.clear()
 

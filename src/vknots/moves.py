@@ -21,6 +21,10 @@ passages, inserts splice runs of new passages in at gaps, and R3 swaps its
 three adjacent passage pairs in place; every result is a valid diagram.
 
 Sites come in ``KINDS`` order, R3 sites in their runs' (comp, pos) order.
+One pass over the adjacent passage pairs finds the kinks, the first per
+crossing, and the strand runs, indexed once by chord pair: a bigon pairs an
+over-pair run with an under-pair run on its chord pair, and a triangle takes
+one run from each chord pair of a chord triple.
 Insert sites are numbered, not searched: over the gaps in (comp, gap) order
 (an empty component has one), site i has variant i % 4 at gap i // 4 (R1) or
 gap pair divmod(i // 4, gaps) (R2), so ``MoveSites`` builds one by index.
@@ -75,53 +79,6 @@ class MoveSite:
         return _CROSSING_DELTA[self.kind]
 
 
-def _adjacent_pairs(d: Diagram):
-    """(comp, pos, passage, next_passage) for every cyclically adjacent pair."""
-    for ci, comp in enumerate(d.components):
-        n = len(comp)
-        for pos in range(n if n > 1 else 0):
-            yield ci, pos, comp[pos], comp[(pos + 1) % n]
-
-
-def _kink(d: Diagram, ci: int, pos: int) -> bool:
-    """The R1-delete rule at passages pos, pos+1 of component ci."""
-    comp = d.components[ci]
-    return len(comp) > 1 and comp[pos].crossing == comp[(pos + 1) % len(comp)].crossing
-
-
-def _bigon(d: Diagram, ci: int, pos: int, cj: int, qos: int) -> bool:
-    """The R2-delete rule: over pair at (ci, pos), under pair at (cj, qos)."""
-    co, cu = d.components[ci], d.components[cj]
-    po, qo = co[pos], co[(pos + 1) % len(co)]
-    pu, qu = cu[qos], cu[(qos + 1) % len(cu)]
-    return (po.over and qo.over and not pu.over and not qu.over
-            and po.crossing != qo.crossing and po.sign == -qo.sign
-            and {po.crossing, qo.crossing} == {pu.crossing, qu.crossing})
-
-
-def _r1_delete_sites(d: Diagram):
-    seen = set()  # a two-passage component O1U1 is a kink twice
-    for ci, pos, p, _ in _adjacent_pairs(d):
-        if _kink(d, ci, pos) and p.crossing not in seen:
-            seen.add(p.crossing)
-            yield MoveSite("R1-delete", (ci, pos))
-
-
-def _r2_delete_sites(d: Diagram):
-    # Prefilter: only the under pairs on an over pair's two chords are judged.
-    overs, unders = [], {}
-    for ci, pos, p, q in _adjacent_pairs(d):
-        key = frozenset((p.crossing, q.crossing))
-        if p.over and q.over:
-            overs.append((key, ci, pos))
-        elif not p.over and not q.over:
-            unders.setdefault(key, []).append((ci, pos))
-    for key, ci, pos in overs:
-        for cj, qos in unders.get(key, ()):
-            if _bigon(d, ci, pos, cj, qos):
-                yield MoveSite("R2-delete", (ci, pos, cj, qos))
-
-
 def _run(d: Diagram, ci: int, pos: int):
     """Record of the strand run through positions pos and pos+1 of component
     ci, or None if both passages belong to one crossing (a kink)."""
@@ -135,20 +92,49 @@ def _run(d: Diagram, ci: int, pos: int):
             "order": (p.crossing, q.crossing)}
 
 
-def _r3_sites(d: Diagram):
-    runs = [r for ci, pos, _, _ in _adjacent_pairs(d)
-            if (r := _run(d, ci, pos)) is not None]
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(runs):
-        by_pair.setdefault(tuple(sorted(r["chords"])), []).append(i)
-    # A triangle's runs lie on the pairs ab, ac, bc of chords a < b < c; runs
-    # come in (comp, pos) order, so the sorted index triples are sorted sites.
-    found = sorted(tuple(sorted(trio))
-                   for a, pairs in itertools.groupby(sorted(by_pair), lambda pair: pair[0])
-                   for (_, b), (_, c) in itertools.combinations(pairs, 2) if (b, c) in by_pair
-                   for trio in itertools.product(by_pair[a, b], by_pair[a, c], by_pair[b, c])
-                   if _triangle(d, [runs[i] for i in trio]))
-    return [MoveSite("R3", tuple(runs[i]["loc"] for i in trio)) for trio in found]
+def _kink(d: Diagram, ci: int, pos: int) -> bool:
+    """The R1-delete rule at passages pos, pos+1 of component ci."""
+    return len(d.components[ci]) > 1 and _run(d, ci, pos) is None
+
+
+def _bigon(d: Diagram, ci: int, pos: int, cj: int, qos: int) -> bool:
+    """The R2-delete rule: over pair at (ci, pos), under pair at (cj, qos)."""
+    co, cu = d.components[ci], d.components[cj]
+    po, qo = co[pos], co[(pos + 1) % len(co)]
+    pu, qu = cu[qos], cu[(qos + 1) % len(cu)]
+    return (po.over and qo.over and not pu.over and not qu.over
+            and po.crossing != qo.crossing and po.sign == -qo.sign
+            and {po.crossing, qo.crossing} == {pu.crossing, qu.crossing})
+
+
+def _searched_sites(d: Diagram, kinds) -> list[MoveSite]:
+    """The R1-delete, R2-delete and R3 sites of ``kinds``, in ``KINDS`` order,
+    from one pass over the cyclically adjacent passage pairs."""
+    if all(k in _INSERTS for k in kinds):
+        return []
+    kinks, runs, by_pair = {}, [], {}
+    for ci, comp in enumerate(d.components):
+        for pos in range(len(comp) if len(comp) > 1 else 0):
+            if (r := _run(d, ci, pos)) is None:
+                kinks.setdefault(comp[pos].crossing, (ci, pos))  # O1U1 is a kink twice
+            else:
+                runs.append(r)
+                by_pair.setdefault(tuple(sorted(r["chords"])), []).append(r)
+    out = [MoveSite("R1-delete", loc) for loc in kinks.values()] if "R1-delete" in kinds else []
+    if "R2-delete" in kinds:
+        out += [MoveSite("R2-delete", (*o["loc"], *u["loc"]))
+                for o in runs if o["overs"] == 2 for u in by_pair[tuple(sorted(o["chords"]))]
+                if u["overs"] == 0 and _bigon(d, *o["loc"], *u["loc"])]
+    if "R3" in kinds:
+        # A triangle's runs lie on the pairs ab, ac, bc of chords a < b < c; runs
+        # are listed in (comp, pos) order, so sorted location triples are sorted sites.
+        found = sorted(tuple(sorted(r["loc"] for r in trio))
+                       for a, pairs in itertools.groupby(sorted(by_pair), lambda pair: pair[0])
+                       for (_, b), (_, c) in itertools.combinations(pairs, 2) if (b, c) in by_pair
+                       for trio in itertools.product(by_pair[a, b], by_pair[a, c], by_pair[b, c])
+                       if _triangle(d, trio))
+        out += [MoveSite("R3", locs) for locs in found]
+    return out
 
 
 def _realizable(bt: bool, bm: bool, bb: bool, s_tm: int, s_tb: int, s_mb: int) -> bool:
@@ -176,7 +162,6 @@ def _triangle(d: Diagram, trio) -> bool:
 # Insert kind -> (gaps per site, variants in order); KINDS lists them last.
 _INSERTS = {"R1-insert": (1, tuple(itertools.product((1, -1), (OVER, UNDER)))),
             "R2-insert": (2, tuple(itertools.product((1, -1), ("par", "anti"))))}
-_SEARCHED = {"R1-delete": _r1_delete_sites, "R2-delete": _r2_delete_sites, "R3": _r3_sites}
 
 
 def _insert_site(kind: str, gaps, i: int) -> MoveSite:
@@ -201,8 +186,8 @@ def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
     if unknown:
         raise PreconditionError(f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
                                 f"expected some of {', '.join(KINDS)}")
-    out = [m for k in KINDS if k in kinds and k in _SEARCHED for m in _SEARCHED[k](d)]
-    return out + [site(i) for n, site in _insert_parts(d, kinds) for i in range(n)]
+    return _searched_sites(d, kinds) + [site(i) for n, site in _insert_parts(d, kinds)
+                                        for i in range(n)]
 
 
 class MoveSites:

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -349,3 +352,18 @@ def test_arbitrary_text_maps_to_documented_exit_codes(text):
             assert code == 0
             assert out.getvalue() == canon + "\n"
             assert serialize(parse(canon)) == canon
+
+
+def test_reader_closing_stdout_exits_141_without_traceback():
+    # VK4's site list (about 590 kB) outgrows the pipe buffer, so a write
+    # fails once the reader has gone.
+    src = str(Path(vknots.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-m", "vknots.cli", "move", "--list", "VK4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0: R1-delete at (0, 8)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert b"Traceback" not in err, err.decode()

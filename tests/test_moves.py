@@ -6,8 +6,8 @@ import pytest
 
 from vknots import parse, serialize
 from vknots.errors import PreconditionError, StaleMoveError, VknotsError
-from vknots.moves import (KINDS, MoveSite, MoveSites, _realizable, apply_move,
-                          enumerate_moves, random_walk, walk)
+from vknots.moves import (KINDS, MoveSite, MoveSites, _bigon, _kink, _realizable,
+                          apply_move, enumerate_moves, random_walk, walk)
 from conftest import random_knot, random_chord_diagram
 
 
@@ -371,6 +371,55 @@ def test_r3_sites_match_pairwise_oracle(vtref):
             else:
                 assert legal, (serialize(d), loc)
     assert refused_overlaps > 0
+
+
+def _delete_corpus(seed, n_random, n_big):
+    """Random 1-3-component diagrams, a kink beside an empty component, and
+    10-12-crossing diagrams walked at the CLI cap, where R2-inserts leave
+    two runs on one chord pair."""
+    rng = random.Random(seed)
+    corpus = [parse("O1+U1+"), parse("O1+U1+;0"), parse("0;O1+U2-;O2-U1+")]
+    corpus += [random_chord_diagram(rng, rng.randint(0, 7), rng.randint(1, 3))
+               for _ in range(n_random)]
+    corpus += [random_walk(random_chord_diagram(rng, rng.randint(10, 12), rng.randint(1, 2)),
+                           s % 3 * 10, s, 12) for s in range(n_big)]
+    return corpus
+
+
+def _delete_oracle(d):
+    """The R1- and R2-delete sites by brute force: every position, in (comp,
+    pos) order, judged by the rule apply_move uses; a chord's first kink only."""
+    locs = [(ci, pos) for ci, comp in enumerate(d.components) for pos in range(len(comp))]
+    kinks, seen = [], set()
+    for ci, pos in locs:
+        crossing = d.components[ci][pos].crossing
+        if _kink(d, ci, pos) and crossing not in seen:
+            seen.add(crossing)
+            kinks.append(MoveSite("R1-delete", (ci, pos)))
+    bigons = [MoveSite("R2-delete", (*o, *u)) for o in locs for u in locs if _bigon(d, *o, *u)]
+    return kinks, bigons
+
+
+def test_r1_and_r2_delete_sites_match_brute_force(vtref):
+    corpus = _delete_corpus(8, 400, 60)
+    corpus += [random_walk(vtref, 20, s, 8) for s in range(40)]
+    counts = {"R1-delete": 0, "R2-delete": 0}
+    for d in corpus:
+        for kind, expected in zip(counts, _delete_oracle(d)):
+            assert enumerate_moves(d, (kind,)) == expected, (kind, serialize(d))
+            counts[kind] += len(expected)
+    assert min(counts.values()) >= 100, counts
+
+
+def test_every_kind_subset_lists_its_kinds_in_order():
+    for d in _delete_corpus(9, 30, 4):
+        every = enumerate_moves(d)
+        for r in range(len(KINDS) + 1):
+            for kinds in itertools.combinations(KINDS, r):
+                listed = enumerate_moves(d, kinds)
+                assert listed == [m for m in every if m.kind in kinds], (kinds, serialize(d))
+                sites = MoveSites(d, kinds)
+                assert [sites[i] for i in range(len(sites))] == listed
 
 
 # sha256 digests of _contract_digests(): the site lists and seeded walks,
