@@ -28,11 +28,15 @@ in O(1) instead of scanning the code.  The hash of the components is
 computed once, on first use.
 
 Reversing a segment of a Gauss code flips the sign of every crossing with
-exactly one passage in it.  That rule is stated once, here: ``splice``
-cuts a diagram's components into ``(fwd, back)`` loops, each rejoined as
-``fwd + back[::-1]``, re-slots them and negates the crossings that
-``one_sided`` names.  ``reverse_component``, the three smoothings and the
-kink classes of fingerprints are all splices.
+exactly one passage in it.  That rule is stated once, here, in
+``_resign``, which negates the crossings that ``one_sided`` names.
+``splice`` cuts a diagram's components into ``(fwd, back)`` loops, each
+rejoined as ``fwd + back[::-1]``, re-slots them and resigns them;
+``rejoin`` does the same to the loops of a knot's passages and returns the
+passage tuples, with no Diagram built.
+``reverse_component``, the three smoothings and the kink classes of
+fingerprints are all splices; the polynomials rejoin a knot's type-1 and
+type-2 smoothings.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "component_index",
     "require_knot",
     "one_sided",
+    "rejoin",
     "splice",
     "reorder_components",
     "crossing_groups",
@@ -296,23 +301,39 @@ def one_sided(segment) -> set[int]:
     return flips
 
 
+def _resign(comps, back) -> tuple:
+    """``comps`` as a tuple of passage tuples, with every crossing that has
+    exactly one passage in the reversed segments ``back`` flipped in sign."""
+    flips = one_sided(back)
+    return tuple(
+        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
+              for p in comp)
+        for comp in comps
+    )
+
+
+def rejoin(*loops) -> tuple:
+    """One component ``fwd + back[::-1]`` per ``(fwd, back)`` loop of a
+    knot's passages, as a tuple of passage tuples, with every crossing that
+    has exactly one passage in the ``back`` segments flipped in sign."""
+    return _resign([fwd + back[::-1] for fwd, back in loops],
+                   [p for _, back in loops for p in back])
+
+
 def splice(d: Diagram, slots, *loops) -> Diagram:
     """``d`` with the components at ``slots`` (0-based) replaced by one
     component per ``(fwd, back)`` loop, ``fwd + back[::-1]``: the first
     loop takes the smallest of ``slots``, any others are appended last.  A
-    crossing with exactly one passage in the ``back`` segments flips sign."""
-    flips: set[int] = set()
+    crossing with exactly one passage in the ``back`` segments flips sign,
+    on every component."""
     comps = [c for k, c in enumerate(d.components) if k not in slots]
+    backs: list = []
     at = min(slots)
     for fwd, back in loops:
-        flips ^= one_sided(back)
         comps.insert(at, fwd + back[::-1])
+        backs += back
         at = len(comps)
-    return Diagram(tuple(
-        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
-              for p in comp)
-        for comp in comps
-    ))
+    return Diagram(_resign(comps, backs))
 
 
 def reverse_component(d: Diagram, i: int) -> Diagram:

@@ -23,10 +23,11 @@ to the nested B-sum data inside fingerprints for the same reason.
 from __future__ import annotations
 
 from ..diagram import Diagram, component_index, crossing_groups, splice
+from ..labeling import index_walk
 from ..memo import memo
-from .flatsums import FlatSum, b_flat_sum
+from .flatsums import FlatSum, _b_flat_of
 from .spans import fspan_window, span_table
-from .writhes import dwrithe, dwrithe_nm
+from .writhes import difference, nm_difference, smoothed_writhe_table, writhe_totals
 
 __all__ = [
     "fingerprint",
@@ -53,10 +54,13 @@ def _sublink(d: Diagram, keep: tuple[int, ...], kept: set[int]) -> tuple:
 
 @memo
 def _knot_vector(comp: tuple, window: int) -> tuple:
-    d = Diagram((comp,))
-    dj = tuple(dwrithe(d, n) for n in range(1, window + 1))
+    walk = index_walk(comp)
+    table = writhe_totals(walk)
+    dj = tuple(difference(table, n) for n in range(1, window + 1))
+    # One smoothed writhe table per m, read for every n.
+    smoothed = [smoothed_writhe_table(comp, walk, m) for m in range(1, window + 1)]
     djnm = tuple(
-        dwrithe_nm(d, n, m)
+        nm_difference(smoothed[m - 1], n, m)
         for n in range(1, window + 1)
         for m in range(1, window + 1)
     )
@@ -104,7 +108,7 @@ def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
     if depth > 0:
         for ci in range(n):
             buckets = restricted_flatsum_fingerprint(
-                b_flat_sum(d, ci + 1), d, ci + 1, depth - 1, window
+                _b_flat_of(d, sorted(groups[ci,])), d, ci + 1, depth - 1, window
             ) if (ci,) in groups else ()
             data.append(("bflat", ci + 1, buckets))
     return tuple(data)

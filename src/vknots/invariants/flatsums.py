@@ -64,12 +64,17 @@ def b_sum(d: Diagram, i: int) -> FlatSum:
     return flat_sum((smooth2(d, c), d.sign(c)) for c in self_crossings(d, i))
 
 
-def b_flat_sum(d: Diagram, i: int) -> FlatSum:
-    """Crossing-change invariant version: each smoothing is paired against
-    the smoothing taken after changing that crossing."""
+def _b_flat_of(d: Diagram, crossings) -> FlatSum:
+    """The flat B-sum over the given self-crossings of one component."""
     pairs = []
-    for c in self_crossings(d, i):
+    for c in crossings:
         s = d.sign(c)
         pairs.append((smooth2(d, c), s))
         pairs.append((smooth2_changed(d, c), -s))
     return flat_sum(pairs)
+
+
+def b_flat_sum(d: Diagram, i: int) -> FlatSum:
+    """Crossing-change invariant version: each smoothing is paired against
+    the smoothing taken after changing that crossing."""
+    return _b_flat_of(d, self_crossings(d, i))

@@ -10,9 +10,12 @@ to the crossings of a knot gives the three-variable polynomial family.
 The spans of a link are read from one memoised row per inter-component
 crossing (``span_table``), which reads the writhe table of each such
 crossing's type-3 smoothing off the two components' passage tuples, with
-no Diagram built, so a fingerprint reads any pair of a link's components
-this way; the span, any (n,k)-span, or a whole window of flat spans is
-one pass over those rows.
+no Diagram built and no walk per row: ``labeling.type3_tables`` labels
+every row from one prefix-label array per component.  So a fingerprint
+reads any pair of a link's components this way; the span, any
+(n,k)-span, or a whole window of flat spans is one pass over those rows.
+``tilde_f`` hands ``span_table`` the two components of each type-2
+smoothing of a knot, rejoined from the knot's ``type1_rows`` segments.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from types import MappingProxyType
 
 from ..diagram import OVER, Diagram, require_knot
 from ..errors import PreconditionError
-from ..labeling import index_map, index_walk
+from ..labeling import type3_tables
 from ..laurent import LaurentPoly
 from ..memo import memo
-from ..smoothing import smooth1, smooth2, smooth3, type3_segments
+from ..smoothing import smooth3, type2_components
 from .weights import WeightFn
-from .writhes import crossing_poly, difference, dwrithe, writhe_totals
+from .writhes import crossing_poly, difference, dwrithe, type1_rows
 
 __all__ = [
     "LinkingNumbers",
@@ -79,13 +82,9 @@ def span_table(first: tuple, second: tuple) -> tuple:
     their passage tuples, in crossing-id order: s is its sign when
     ``first`` passes over and minus its sign otherwise, and table is the
     writhe table of its type-3 smoothing, as a read-only view."""
-    at = {p.crossing: j for j, p in enumerate(second)}
-    joins = sorted((p.crossing, i) for i, p in enumerate(first) if p.crossing in at)
     return tuple(
-        (first[i].sign if first[i].strand == OVER else -first[i].sign,
-         MappingProxyType(writhe_totals(
-             index_walk(*type3_segments(first, i, second, at[c])))))
-        for c, i in joins
+        (p.sign if p.strand == OVER else -p.sign, MappingProxyType(totals))
+        for p, totals in type3_tables(first, second)
     )
 
 
@@ -103,13 +102,18 @@ def span_nk(d: Diagram, n: int, k: int) -> int:
     return sum(s for s, table in _nk_rows(d, n) if difference(table, n) == k)
 
 
+def _flat_span(rows: tuple, n: int, k: int) -> int:
+    """``fspan_nk`` of the link whose ``span_table`` is ``rows``."""
+    k = abs(k)
+    total = sum(s for s, table in rows if abs(difference(table, n)) == k)
+    # k = 0 enters both terms of the symmetrized sum.
+    return total if k else 2 * total
+
+
 def fspan_nk(d: Diagram, n: int, k: int) -> int:
     """Flat span: symmetrized in k, hence crossing-change invariant;
     ``span_nk(d, n, k) + span_nk(d, n, -k)`` in one pass."""
-    k = abs(k)
-    total = sum(s for s, table in _nk_rows(d, n) if abs(difference(table, n)) == k)
-    # k = 0 enters both terms of the symmetrized sum.
-    return total if k else 2 * total
+    return _flat_span(_nk_rows(d, n), n, k)
 
 
 def fspan_window(rows: tuple, window: int) -> tuple:
@@ -167,9 +171,9 @@ def tilde_f(d: Diagram, n: int, k: int, m: int) -> LaurentPoly:
     if k <= 0:
         raise PreconditionError("the (n,k)-span requires n > 0")
     rows = []
-    for c, ind in index_map(d).items():
-        e1 = dwrithe(smooth1(d, c), n)
-        fs = fspan_nk(smooth2(d, c), k, m)
+    for s, ind, segments, _, table in type1_rows(d):
+        e1 = difference(table, n)
+        fs = _flat_span(span_table(*type2_components(*segments)), k, m)
         in_t = e1 in (base, -base) and fs == 0
-        rows.append((d.sign(c), ind, (e1, fs), (e1 if in_t else base, fs)))
+        rows.append((s, ind, (e1, fs), (e1 if in_t else base, fs)))
     return crossing_poly(FTILDE_VARS, rows)

@@ -8,30 +8,39 @@ the two- and three-variable polynomial families.
 
 Every writhe-type value of a diagram is read from a writhe table:
 ``writhe_table(d)`` maps each crossing index to its signed crossing count,
-and ``smoothed_writhe_table(d, m)`` sums, over the crossings of index m
-or -m, their signs times the writhe tables of their type-1 smoothings.
-A difference writhe is then one subtraction, ``table[n] - table[-n]``.
-Every index comes from ``labeling.index_walk``: ``writhe_table`` reads a
-knot's through the memoised ``index_map``, which the polynomials ask for
-too, and the writhe table of a smoothing is summed from the walk over the
-parent's segment pair (``writhe_totals``), so no smoothed Diagram is built
-for it.  Only ``dwrithe`` is memoised, per (diagram, n): the polynomials ask
-for it on the same smoothings, and a fingerprint memoises whole knot vectors.
+and ``smoothed_writhe_table(comp, walk, m)`` sums, over the crossings of
+index m or -m of the knot with passages ``comp``, their signs times the
+writhe tables of their type-1 smoothings.  A difference writhe is then
+one subtraction, ``table[n] - table[-n]``.  Every index comes from
+``labeling.index_walk``: ``writhe_table`` reads a knot's through the
+memoised ``index_map``, and the writhe table of a smoothing is summed from
+the walk over the parent's segment pair (``writhe_totals``), so no
+smoothed Diagram is built for it.
+
+The three polynomials read every type-1 smoothing of a knot from one
+memoised row set, ``type1_rows(d)``: per crossing its sign, index, segment
+pair, and that smoothing's walk and writhe table.  ``f_poly_nmk`` reads
+the smoothed writhe tables of a smoothing off its passages, rejoined from
+the segment pair, and ``spans.tilde_f`` rejoins the type-2 smoothings from
+the same segments.  ``dwrithe`` is memoised per (diagram, n), for the
+polynomials' base values and the invariant batteries.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
-from ..diagram import OVER, Diagram, require_knot
+from ..diagram import OVER, UNDER, Diagram, rejoin, require_knot
 from ..errors import PreconditionError
 from ..labeling import index_map, index_walk
 from ..laurent import LaurentPoly
 from ..memo import memo
-from ..smoothing import smooth1, type1_segments
+from ..smoothing import knot_segments, smooth1, type1_segments
 
 __all__ = [
     "writhe_table",
+    "type1_rows",
     "smoothed_writhe_table",
     "writhe_n",
     "dwrithe",
@@ -118,6 +127,20 @@ def smoothed_dwrithe(d: Diagram, crossing: int, n: int) -> int:
     return dwrithe(smooth1(d, crossing), n)
 
 
+@memo
+def type1_rows(d: Diagram) -> tuple:
+    """One row ``(sign, index, segments, walk, table)`` per crossing of a
+    knot diagram, in crossing-id order: ``segments`` is the crossing's
+    type-1 segment pair, ``walk`` that smoothing's ``index_walk`` and
+    ``table`` its writhe table, as a tuple and a read-only view."""
+    rows = []
+    for c, s, ind in sorted(index_walk(d.components[0])):
+        segments = type1_segments(d, c)
+        walk = tuple(index_walk(*segments))
+        rows.append((s, ind, segments, walk, MappingProxyType(writhe_totals(walk))))
+    return tuple(rows)
+
+
 def f_poly(d: Diagram, n: int) -> LaurentPoly:
     """Two-variable refinement of the affine index polynomial.
 
@@ -130,27 +153,44 @@ def f_poly(d: Diagram, n: int) -> LaurentPoly:
         raise PreconditionError("the F-polynomial requires n > 0")
     base = dwrithe(d, n)
     rows = []
-    for c, ind in index_map(d).items():
-        sd = smoothed_dwrithe(d, c, n)
-        rows.append((d.sign(c), ind, (sd,), (sd,) if sd in (base, -base) else (base,)))
+    for s, ind, _, _, table in type1_rows(d):
+        sd = difference(table, n)
+        rows.append((s, ind, (sd,), (sd,) if sd in (base, -base) else (base,)))
     return crossing_poly(FPOLY_VARS, rows)
 
 
-def smoothed_writhe_table(d: Diagram, m: int) -> dict[int, int]:
-    """Index j -> sum of sign(c) * writhe_j(smooth1(d, c)) over the
-    crossings c of index m or -m (m > 0).
+def smoothed_writhe_table(comp, walk, m: int) -> dict[int, int]:
+    """Index j -> sum of sign(c) * writhe_j(type-1 smoothing at c) over the
+    crossings c of index m or -m (m > 0) of the knot with passages
+    ``comp`` and ``index_walk`` ``walk``.
 
     Only those crossings are smoothed: ``f_poly_nmk`` asks for the table of
     every type-1 smoothing of a diagram, and smoothing all of their
     crossings would dominate it.
     """
+    signs = {c: s for c, s, i in walk if i == m or i == -m}
     acc: dict[int, int] = {}
-    for c, i in index_map(d).items():
-        if i == m or i == -m:
-            s = d.sign(c)
-            for _, t, j in index_walk(*type1_segments(d, c)):
-                acc[j] = acc.get(j, 0) + s * t
+    if not signs:
+        return acc
+    at = {(p.crossing, p.strand): k for k, p in enumerate(comp) if p.crossing in signs}
+    for c, s in signs.items():
+        for _, t, j in index_walk(*knot_segments(comp, at[c, OVER], at[c, UNDER])):
+            acc[j] = acc.get(j, 0) + s * t
     return acc
+
+
+def nm_difference(table: Mapping[int, int], n: int, m: int) -> int:
+    """The (n,m)-difference writhe of a knot whose smoothed writhe table of
+    |m| is ``table``."""
+    return m * difference(table, n)
+
+
+def _dwrithe_nm(comp, walk, n: int, m: int) -> int:
+    """``dwrithe_nm``, unchecked, of the knot with passages ``comp`` and
+    ``index_walk`` ``walk``."""
+    if m == 0:
+        return 0
+    return nm_difference(smoothed_writhe_table(comp, walk, abs(m)), n, m)
 
 
 def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
@@ -166,9 +206,8 @@ def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
     require_knot(d, "the (n,m)-difference writhe")
     if n <= 0:
         raise PreconditionError("the (n,m)-difference writhe requires n > 0")
-    if m == 0:
-        return 0
-    return m * difference(smoothed_writhe_table(d, abs(m)), n)
+    comp = d.components[0]
+    return _dwrithe_nm(comp, index_walk(comp), n, m)
 
 
 def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:
@@ -181,9 +220,8 @@ def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:
     base1 = dwrithe(d, n)
     base2 = dwrithe_nm(d, m, k)
     rows = []
-    for c, ind in index_map(d).items():
-        dc = smooth1(d, c)
-        e = (dwrithe(dc, n), dwrithe_nm(dc, m, k))
+    for s, ind, segments, walk, table in type1_rows(d):
+        e = (difference(table, n), _dwrithe_nm(rejoin(segments)[0], walk, m, k))
         in_t = e[0] in (base1, -base1) and e[1] in (base2, -base2)
-        rows.append((d.sign(c), ind, e, e if in_t else (base1, base2)))
+        rows.append((s, ind, e, e if in_t else (base1, base2)))
     return crossing_poly(FNMK_VARS, rows)

@@ -19,10 +19,27 @@ i.e. the decrementing strand's incoming label minus the incrementing
 strand's, minus one.  Labels are pinned to 0 on each component's first arc;
 the index is independent of that choice.
 
-``index_walk`` is the one implementation of that formula: one walk along
-a knot's passages, or along a smoothing's segment pair with no smoothed
-Diagram built (``smoothing.type1_segments``, or ``type3_segments`` of two
-components' passages).  ``index_map`` walks a knot's own component.
+``index_walk`` is the one walk: along a knot's passages, or along a
+smoothing's segment pair with no smoothed Diagram built
+(``smoothing.type1_segments``, or ``type3_segments`` of two components'
+passages).  ``index_map`` walks a knot's own component.
+
+``type3_tables`` reads the type-3 smoothings of every crossing joining
+two components with no walk per smoothing.  The smoothing at a joining
+crossing c walks the component O of c's over passage from just after it,
+then the component U of its under passage backwards from just before it,
+and flips every other joining crossing (each has one passage in the
+reversed U).  So a passage's step sigma (-s over, +s under, s its sign
+after that flip) is the same in every type-3 smoothing of the pair.  With
+P the prefix sums of sigma along a component of length L (P[0] = 0), c's
+passages at O[i] and U[j], and T = P_O[L] - sigma(O[i]) the label on
+leaving O:
+
+    label of O[k] = P_O[k] - P_O[i+1]        (+ P_O[L] when k < i),
+    label of U[k] = T + P_U[j] - P_U[k+1]    (+ P_U[L] when k > j),
+
+and a crossing's index is still label(over) - label(under) - s, O(1) per
+crossing.
 """
 
 from __future__ import annotations
@@ -37,7 +54,7 @@ from .memo import memo
 
 __all__ = [
     "ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map",
-    "index_walk",
+    "index_walk", "type3_tables",
 ]
 
 
@@ -123,6 +140,70 @@ def index_walk(fwd, back=()) -> list[tuple[int, int, int]]:
                 pending[c] = v
             else:
                 out.append((c, s, first + v - s))
+    return out
+
+
+def _o_labels(prefix, i: int) -> tuple[list[int], int]:
+    """Labels of a component walked from just after position ``i``, and
+    the label on leaving it."""
+    end = len(prefix) - 1
+    shift = -prefix[i + 1]
+    wrapped = shift + prefix[end]
+    return ([x + wrapped for x in prefix[:i]]
+            + [x + shift for x in prefix[i:end]]), wrapped + prefix[i]
+
+
+def _u_labels(prefix, j: int, start: int) -> list[int]:
+    """Labels of a component walked backwards from just before position
+    ``j``, entered with label ``start``."""
+    shift = start + prefix[j]
+    wrapped = shift + prefix[-1]
+    return ([shift - x for x in prefix[1:j + 2]]
+            + [wrapped - x for x in prefix[j + 2:]])
+
+
+def type3_tables(first, second) -> list:
+    """``(passage, totals)`` for each crossing joining two components, given
+    as passage tuples that hold every passage of their crossings, in
+    crossing-id order: its passage in ``first``, and the signed crossing
+    count per index of its type-3 smoothing (the totals of
+    ``index_walk(*smoothing.type3_segments(...))``), from one prefix-label
+    array per component (see the module docstring)."""
+    joins = {p.crossing for p in first}.intersection([p.crossing for p in second])
+    prefixes = []
+    for comp in (first, second):
+        label = 0
+        prefix = [0]
+        for p in comp:
+            s = -p.sign if p.crossing in joins else p.sign
+            label += -s if p.strand == OVER else s
+            prefix.append(label)
+        prefixes.append(prefix)
+    # Each crossing's flipped sign and its passages' slots in first + second.
+    ends: dict[int, list] = {}
+    for g, p in enumerate(first + second):
+        end = ends.setdefault(p.crossing, [p.crossing, 0, 0, 0])
+        end[1] = -p.sign if p.crossing in joins else p.sign
+        end[2 if p.strand == OVER else 3] = g
+    rows = sorted(ends.values())
+    n1 = len(first)
+    pre1, pre2 = prefixes
+    out = []
+    for c, _, go, gu in rows:
+        if c not in joins:
+            continue
+        if go < n1:
+            over, leaving = _o_labels(pre1, go)
+            labels = over + _u_labels(pre2, gu - n1, leaving)
+        else:
+            over, leaving = _o_labels(pre2, go - n1)
+            labels = _u_labels(pre1, gu, leaving) + over
+        totals: dict[int, int] = {}
+        for d, s, o, u in rows:
+            if d != c:
+                v = labels[o] - labels[u] - s
+                totals[v] = totals.get(v, 0) + s
+        out.append((first[min(go, gu)], totals))
     return out
 
 

@@ -1,12 +1,15 @@
 """The one memoisation policy of the invariant layers.
 
 The invariants are built recursively from the three smoothings, so one
-command asks for the same smoothed diagram, index map or difference writhe
-many times.  Every function that caches such per-diagram results does so
-through ``memo``: a C ``functools.lru_cache`` (hits stay cheap) bounded by
-``MAXSIZE`` and keyed on its arguments: a hashable, immutable ``Diagram``
-(for ``span_table`` and ``_knot_vector``, cut passage tuples, which equal cuts
-of any diagrams share) and the rest.  Every table is registered in ``TABLES``.
+command asks for the same index map, type-1 smoothing rows, difference
+writhe or span rows many times.  Every function that caches such
+per-diagram results does so through ``memo``: a C ``functools.lru_cache``
+(hits stay cheap) bounded by ``MAXSIZE`` and keyed on its arguments: a
+hashable, immutable ``Diagram`` (for ``span_table`` and ``_knot_vector``,
+passage tuples, which equal cuts or smoothings of any diagrams share) and
+the rest.  Every table is registered in ``TABLES``: ``index_map``,
+``type1_rows``, ``dwrithe``, ``span_table``, ``_knot_vector`` and
+``fingerprint``.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

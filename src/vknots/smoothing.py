@@ -23,19 +23,24 @@ merged knot's orientation, which is what makes the flat span machinery
 work.
 
 Types 1 and 3 are each stated once, as the segment pair ``(fwd, back)``
-of their one loop (``type1_segments``; ``type3_segments``, on the passages
-of two components alone).  ``smooth1`` and ``smooth3`` splice it, and
-``labeling.index_walk`` reads its writhe tables with no Diagram built.
+of their one loop (``type1_segments``, or ``knot_segments`` on a knot's
+passages; ``type3_segments``, on the passages of two components alone).
+``smooth1`` and ``smooth3`` splice it, and ``labeling.index_walk`` reads
+its writhe tables with no Diagram built.  Type 2 is stated once as the
+two loops ``type2_loops`` of a self-crossing's segments X and Y, which
+``smooth2`` splices.  On a knot the polynomials rejoin the type-1 loop
+and the type-2 loops (``type2_components``) as passage tuples with
+``diagram.rejoin``, the rule ``splice`` follows, with no Diagram built.
 """
 
 from __future__ import annotations
 
-from .diagram import OVER, Diagram, splice
+from .diagram import OVER, Diagram, rejoin, splice
 from .errors import PreconditionError
-from .memo import memo
 
 __all__ = [
-    "smooth1", "smooth2", "smooth2_changed", "smooth3", "type1_segments",
+    "smooth1", "smooth2", "smooth2_changed", "smooth3", "knot_segments",
+    "type1_segments", "type2_loops", "type2_components",
     "type3_segments",
 ]
 
@@ -45,20 +50,25 @@ def _after(comp, i):
     return comp[i + 1:] + comp[:i]
 
 
+def knot_segments(comp, oi: int, ui: int) -> tuple:
+    """The segments strictly between the passages ``comp[oi]`` (over) and
+    ``comp[ui]`` (under) of a self-crossing: (X, Y), where X follows the
+    over passage up to the under passage and Y follows the under passage
+    back around to the over one."""
+    rest = comp[oi + 1:] + comp[:oi]  # _after(comp, oi), inlined: every smooth2 calls this
+    k = (ui - oi - 1) % len(comp)
+    return rest[:k], rest[k + 1:]
+
+
 def _split_self(d: Diagram, crossing: int, op: str):
-    """Component of a self-crossing and the segments strictly between its
-    passages: (ci, X, Y), where X follows the over passage up to the under
-    passage and Y follows the under passage back around to the over one."""
+    """Component of a self-crossing and its segments: (ci, X, Y)."""
     (oc, oi), (uc, ui) = d.passage_positions(crossing)
     if oc != uc:
         raise PreconditionError(
             f"{op} requires a self-crossing; crossing {crossing} joins "
             f"components {oc + 1} and {uc + 1}"
         )
-    comp = d.components[oc]
-    rest = _after(comp, oi)
-    k = (ui - oi - 1) % len(comp)
-    return oc, rest[:k], rest[k + 1:]
+    return (oc, *knot_segments(d.components[oc], oi, ui))
 
 
 def type1_segments(d: Diagram, crossing: int) -> tuple:
@@ -71,6 +81,19 @@ def type1_segments(d: Diagram, crossing: int) -> tuple:
     return _split_self(d, crossing, "type-1 smoothing")[1:]
 
 
+def type2_loops(x, y) -> tuple:
+    """The two loops of the type-2 smoothing at a self-crossing with
+    segments X and Y: the loop entered at the under-passage exit (Y) keeps
+    its orientation and the old slot; X is reversed and appended last."""
+    return (y, ()), ((), x)
+
+
+def type2_components(x, y) -> tuple:
+    """The two components of a knot's type-2 smoothing at the crossing
+    with segments X and Y, as passage tuples."""
+    return rejoin(*type2_loops(x, y))
+
+
 def type3_segments(first, i: int, second, j: int) -> tuple:
     """The segment pair ``(fwd, back)`` of the type-3 smoothing at the
     crossing met at ``first[i]`` and ``second[j]`` (the passages of two
@@ -81,20 +104,16 @@ def type3_segments(first, i: int, second, j: int) -> tuple:
     return _after(second, j), _after(first, i)
 
 
-@memo
 def smooth1(d: Diagram, crossing: int) -> Diagram:
     """Type-1 smoothing: same component count, one segment reversed."""
     return splice(d, d.components_of(crossing)[:1], type1_segments(d, crossing))
 
 
 def smooth2(d: Diagram, crossing: int) -> Diagram:
-    """Type-2 smoothing: the component splits; result has one more component.
-
-    The loop entered at the under-passage exit keeps its orientation and the
-    old slot; the other loop is reversed and appended last.
-    """
+    """Type-2 smoothing: the component splits; result has one more
+    component (``type2_loops``)."""
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
-    return splice(d, (ci,), (y, ()), ((), x))
+    return splice(d, (ci,), *type2_loops(x, y))
 
 
 def smooth2_changed(d: Diagram, crossing: int) -> Diagram:
@@ -106,7 +125,7 @@ def smooth2_changed(d: Diagram, crossing: int) -> Diagram:
     keeps its orientation and the slot, and Y is reversed and appended.
     """
     ci, x, y = _split_self(d, crossing, "type-2 smoothing")
-    return splice(d, (ci,), (x, ()), ((), y))
+    return splice(d, (ci,), *type2_loops(y, x))
 
 
 def smooth3(d: Diagram, crossing: int) -> Diagram:

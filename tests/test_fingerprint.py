@@ -23,6 +23,7 @@ from vknots import Diagram, Passage, memo, parse, serialize
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
+    dwrithe_nm,
     fingerprint,
     flat_sum,
     flatsum_fingerprint,
@@ -154,12 +155,13 @@ def test_bucket_map_of_mixed_component_counts(depth):
                                                ("O1+U1+;0", 1, (2,))])
 def test_component_without_self_crossings_takes_no_b_sum(monkeypatch, code, calls, empty):
     seen = []
+    real = fingerprint_module._b_flat_of
 
-    def counted(d, i):
-        seen.append(i)
-        return b_flat_sum(d, i)
+    def counted(d, crossings):
+        seen.append(crossings)
+        return real(d, crossings)
 
-    monkeypatch.setattr(fingerprint_module, "b_flat_sum", counted)
+    monkeypatch.setattr(fingerprint_module, "_b_flat_of", counted)
     memo.clear()
     fp = fingerprint(parse(code), 1)
     memo.clear()
@@ -187,10 +189,47 @@ def test_knot_vector_reads_the_knot_itself(monkeypatch, k431):
     assert seen == [k431.components[0]]
 
 
+@pytest.mark.parametrize("window", [1, 3])
+def test_knot_vector_reads_each_smoothed_table_once(monkeypatch, k431, window):
+    """A knot-vector miss reads the smoothed writhe table of each m of the
+    window once, and fills every (n, m) entry from it."""
+    real = fingerprint_module.smoothed_writhe_table
+    seen = []
+    monkeypatch.setattr(fingerprint_module, "smoothed_writhe_table",
+                        lambda comp, walk, m: seen.append(m) or real(comp, walk, m))
+    memo.clear()
+    vec = _knot_vector(k431.components[0], window)
+    memo.clear()
+    assert seen == list(range(1, window + 1))
+    assert vec[3] == tuple(dwrithe_nm(k431, n, m) for n in range(1, window + 1)
+                           for m in range(1, window + 1))
+
+
+def test_fingerprint_hands_its_groups_to_the_b_sums(monkeypatch):
+    """A fingerprint splits the crossings once per diagram; its flat B-sums
+    take their self-crossings from that split, not from another
+    ``crossing_groups`` pass of ``self_crossings``."""
+    flatsums_module = importlib.import_module("vknots.invariants.flatsums")
+    calls = []
+    for module in (fingerprint_module, flatsums_module):
+        real = module.crossing_groups
+        monkeypatch.setattr(module, "crossing_groups",
+                            lambda d, real=real, name=module.__name__:
+                            calls.append(name) or real(d))
+    d = parse("O1+O2+U1+U2+O3-U4+;U3-O4+O5-U5-")
+    memo.clear()
+    fp = fingerprint(d, 1, 2)
+    memo.clear()
+    assert set(calls) == {fingerprint_module.__name__}
+    assert [e for e in fp if e[0] == "bflat"] == [
+        ("bflat", i, restricted_flatsum_fingerprint(b_flat_sum(d, i), d, i, 0, 2))
+        for i in (1, 2)]
+
+
 def test_pair_vectors_build_no_diagram(monkeypatch):
-    """At depth 0 the only Diagrams a fingerprint builds are the knots of
-    its components' cuts, on a memo miss: the crossing-free component 2
-    included, no pair's, and none once every cut is in the memo."""
+    """At depth 0 a fingerprint builds no Diagram: its knot and pair
+    vectors are read off the components' cut passages, on a memo miss as
+    on a hit."""
     d = parse("O1+O2+U1+U2+O4+U5-O6+U6+;O3-U4+;U3-O5-O7+U7+")
     with_circle = Diagram(d.components + ((),))
     built = []
@@ -203,8 +242,7 @@ def test_pair_vectors_build_no_diagram(monkeypatch):
     fingerprint(with_circle, 0, 3)
     memo.clear()
     monkeypatch.undo()
-    assert cold == [oracle_sublink(d, (0,)), Diagram(((),)), oracle_sublink(d, (2,))]
-    assert built == cold
+    assert cold == [] and built == []
     spans = [entry[3][1] for entry in fp if entry[0] == "pair"]
     assert spans == [linking_numbers(oracle_sublink(d, ij)).span
                      for ij in ((0, 1), (0, 2), (1, 2))]

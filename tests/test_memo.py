@@ -14,8 +14,8 @@ from vknots.cli import _default_battery, main
 from vknots.invariants import comparable_invariant, dwrithe, fingerprint
 from vknots.invariants.fingerprint import _knot_vector
 from vknots.invariants.spans import span_table
+from vknots.invariants.writhes import type1_rows
 from vknots.labeling import index_map
-from vknots.smoothing import smooth1
 
 from conftest import random_chord_diagram
 
@@ -28,7 +28,7 @@ def _totals():
 
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
-        index_map, smooth1, dwrithe, span_table, _knot_vector, fingerprint,
+        index_map, type1_rows, dwrithe, span_table, _knot_vector, fingerprint,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
 
