@@ -18,7 +18,7 @@ from ..diagram import Diagram, mirror, require_knot
 from ..errors import PreconditionError
 from ..labeling import crossing_index
 from ..smoothing import smooth1
-from .writhes import dwrithe
+from .writhes import dwrithe, smoothed_dwrithe
 
 __all__ = [
     "WeightFn",
@@ -79,7 +79,7 @@ def smoothed_dwrithe_weight(n: int) -> WeightFn:
     return WeightFn(
         f"dj{n}@smooth1",
         "even",
-        lambda d, c: dwrithe(smooth1(d, c), n),
+        lambda d, c: smoothed_dwrithe(d, c, n),
         lambda d, c: d.is_self_crossing(c),
     )
 

@@ -6,24 +6,26 @@ an invariant of the underlying flat knot.  Refinements below attach
 difference writhes of type-1 smoothed diagrams to each crossing, giving
 the two- and three-variable polynomial families.
 
-Every writhe-type value of a diagram is read from a writhe table:
-``writhe_table(d)`` maps each crossing index to its signed crossing count,
-and ``smoothed_writhe_table(comp, walk, m)`` sums, over the crossings of
-index m or -m of the knot with passages ``comp``, their signs times the
-writhe tables of their type-1 smoothings.  A difference writhe is then
-one subtraction, ``table[n] - table[-n]``.  Every index comes from
-``labeling.index_walk``: ``writhe_table`` reads a knot's through the
-memoised ``index_map``, and the writhe table of a smoothing is summed from
-the walk over the parent's segment pair (``writhe_totals``), so no
-smoothed Diagram is built for it.
+Every writhe-type value is read from a writhe table, the signed crossing
+count per index that ``writhe_totals`` sums over the ``(crossing, sign,
+index)`` rows of a walk; a difference writhe is then one subtraction,
+``table[n] - table[-n]``.  Every index comes from ``labeling.index_walk``.
+A knot diagram's own crossings are read off the memoised ``index_map``,
+so the knot is walked once: ``writhe_n``, ``dwrithe``,
+``affine_index_poly``, ``dwrithe_nm`` and ``type1_rows`` read it there.
+The polynomials read every type-1 smoothing of a knot from one memoised
+row set, ``type1_rows(d)``: per crossing its sign, index, segment pair,
+and that smoothing's walk and writhe table, with no smoothed Diagram
+built; ``spans.tilde_f`` rejoins the type-2 smoothings from the same
+segments.
 
-The three polynomials read every type-1 smoothing of a knot from one
-memoised row set, ``type1_rows(d)``: per crossing its sign, index, segment
-pair, and that smoothing's walk and writhe table.  ``f_poly_nmk`` reads
-the smoothed writhe tables of a smoothing off its passages, rejoined from
-the segment pair, and ``spans.tilde_f`` rejoins the type-2 smoothings from
-the same segments.  ``dwrithe`` is memoised per (diagram, n), for the
-polynomials' base values and the invariant batteries.
+``smoothed_writhe_table(comp, walk, m)`` sums, over the crossings of
+index m or -m of the knot with passages ``comp``, their signs times the
+writhe tables of their type-1 smoothings, and ``nm_difference`` reads an
+(n,m)-difference writhe off it: ``dwrithe_nm``, the second smoothing
+level of ``f_poly_nmk`` and a fingerprint's knot vector all go through
+it.  ``dwrithe`` is memoised per (diagram, n), for the polynomials' base
+values and the invariant batteries.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from ..memo import memo
 from ..smoothing import knot_segments, smooth1, type1_segments
 
 __all__ = [
-    "writhe_table",
     "type1_rows",
     "smoothed_writhe_table",
     "writhe_n",
@@ -79,17 +80,14 @@ def writhe_totals(walk) -> dict[int, int]:
     return acc
 
 
-def writhe_table(d: Diagram) -> dict[int, int]:
-    """Signed crossing count of every index of a knot diagram; indices
-    without crossings are absent."""
-    inds = index_map(d)
-    acc: dict[int, int] = {}
+def _index_rows(d: Diagram) -> list:
+    """``(crossing, sign, index)`` of every crossing of a knot diagram, in
+    the order of its over passages, with the indices of the memoised
+    ``index_map``."""
     # Signs read off the over passages: cheaper than a d.sign() per crossing.
-    for p in d.components[0]:
-        if p.strand == OVER:
-            i = inds[p.crossing]
-            acc[i] = acc.get(i, 0) + p.sign
-    return acc
+    inds = index_map(d)
+    return [(p.crossing, p.sign, inds[p.crossing])
+            for p in d.components[0] if p.strand == OVER]
 
 
 def difference(table: Mapping[int, int], n: int) -> int:
@@ -102,7 +100,7 @@ def writhe_n(d: Diagram, n: int) -> int:
     require_knot(d, "the n-th writhe")
     if n == 0:
         raise PreconditionError("the n-th writhe requires n != 0")
-    return writhe_table(d).get(n, 0)
+    return writhe_totals(_index_rows(d)).get(n, 0)
 
 
 @memo
@@ -111,15 +109,13 @@ def dwrithe(d: Diagram, n: int) -> int:
     require_knot(d, "the difference writhe")
     if n <= 0:
         raise PreconditionError("the difference writhe requires n > 0")
-    return difference(writhe_table(d), n)
+    return difference(writhe_totals(_index_rows(d)), n)
 
 
 def affine_index_poly(d: Diagram) -> LaurentPoly:
     """Sum of sign(c) * (t^index(c) - 1) over classical crossings."""
     require_knot(d, "the affine index polynomial")
-    return crossing_poly(
-        AIP_VARS, ((d.sign(c), ind, (), ()) for c, ind in index_map(d).items())
-    )
+    return crossing_poly(AIP_VARS, ((s, ind, (), ()) for _, s, ind in _index_rows(d)))
 
 
 def smoothed_dwrithe(d: Diagram, crossing: int, n: int) -> int:
@@ -134,7 +130,7 @@ def type1_rows(d: Diagram) -> tuple:
     type-1 segment pair, ``walk`` that smoothing's ``index_walk`` and
     ``table`` its writhe table, as a tuple and a read-only view."""
     rows = []
-    for c, s, ind in sorted(index_walk(d.components[0])):
+    for c, s, ind in sorted(_index_rows(d)):
         segments = type1_segments(d, c)
         walk = tuple(index_walk(*segments))
         rows.append((s, ind, segments, walk, MappingProxyType(writhe_totals(walk))))
@@ -187,7 +183,7 @@ def nm_difference(table: Mapping[int, int], n: int, m: int) -> int:
 
 def _dwrithe_nm(comp, walk, n: int, m: int) -> int:
     """``dwrithe_nm``, unchecked, of the knot with passages ``comp`` and
-    ``index_walk`` ``walk``."""
+    ``(crossing, sign, index)`` rows ``walk``."""
     if m == 0:
         return 0
     return nm_difference(smoothed_writhe_table(comp, walk, abs(m)), n, m)
@@ -206,8 +202,7 @@ def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
     require_knot(d, "the (n,m)-difference writhe")
     if n <= 0:
         raise PreconditionError("the (n,m)-difference writhe requires n > 0")
-    comp = d.components[0]
-    return _dwrithe_nm(comp, index_walk(comp), n, m)
+    return _dwrithe_nm(d.components[0], _index_rows(d), n, m)
 
 
 def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:

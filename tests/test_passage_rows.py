@@ -6,21 +6,25 @@ prefix-label array per component; each row is checked against the one
 walk, ``index_walk`` over the smoothing's ``type3_segments``.
 ``type1_rows`` and the type-2 tuples are checked against ``smooth1`` and
 ``smooth2``, and the three polynomials against their formulas evaluated
-on smoothed Diagrams."""
+on smoothed Diagrams.  A batch row of the knot battery labels the knot's
+own crossings once."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vknots import Diagram, Passage, parse
+from vknots import Diagram, Passage, memo, parse, serialize
+from vknots.cli import main
 from vknots.invariants import dwrithe, dwrithe_nm, f_poly, f_poly_nmk, fspan_nk, tilde_f
 from vknots.invariants.spans import FTILDE_VARS, span_table
 from vknots.invariants.writhes import (
     FNMK_VARS,
     FPOLY_VARS,
     crossing_poly,
+    smoothed_writhe_table,
     type1_rows,
     writhe_totals,
 )
@@ -141,3 +145,47 @@ def test_polynomials_of_small_knots(code):
         assert f_poly(d, n) == _oracle_f_poly(d, n)
         assert f_poly_nmk(d, n, 1, 1) == _oracle_f_poly_nmk(d, n, 1, 1)
         assert tilde_f(d, n, 1, 0) == _oracle_tilde_f(d, n, 1, 0)
+
+
+def _record(monkeypatch, real, calls):
+    """Rebind ``real`` in every vknots module that imports it to a wrapper
+    that appends its arguments to ``calls``."""
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("vknots") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__,
+                                lambda *args: calls.append(args) or real(*args))
+
+
+def test_dwrithe_nm_walks_only_smoothings(monkeypatch, k431):
+    """``dwrithe_nm`` reads the knot's own crossings off the memoised
+    ``index_map`` and walks only the smoothings it sums; m = 0 smooths
+    nothing."""
+    memo.clear()
+    index_map(k431)
+    walks: list = []
+    tables: list = []
+    _record(monkeypatch, index_walk, walks)
+    _record(monkeypatch, smoothed_writhe_table, tables)
+    for n in range(1, 4):
+        for m in range(-3, 4):
+            dwrithe_nm(k431, n, m)
+    assert dwrithe_nm(k431, 1, 1) == -4
+    assert walks and all(args[0] != k431.components[0] for args in walks)
+    tables.clear()
+    assert dwrithe_nm(k431, 2, 0) == 0 and tables == []
+
+
+def test_battery_row_walks_the_knot_once(monkeypatch, capsys, tmp_path, k431):
+    """A batch row of the knot battery labels the knot's own crossings
+    once, in ``index_map``: every other value reads them off it, or off
+    the smoothings in ``type1_rows``."""
+    cat = tmp_path / "cat.tsv"
+    cat.write_text(f"K431\t{serialize(k431)}\n", encoding="utf-8")
+    calls: list = []
+    _record(monkeypatch, index_walk, calls)
+    memo.clear()
+    assert main(["batch", "--inv", "aip,djn(1),djn(2),djn(3),fpoly(1),djnm(1,1),"
+                 "fnmk(1,1,1),ftilde(1,1,0)", str(cat)]) == 0
+    assert "djnm(1,1)=-4" in capsys.readouterr().out
+    assert [args for args in calls if args[0] == k431.components[0]] \
+        == [(k431.components[0],)]

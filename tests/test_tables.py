@@ -110,7 +110,7 @@ def _diagram(seed, n_chords, n_components):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 9), st.integers(1, 4))
+@given(st.integers(0, 10_000), st.integers(0, 14), st.integers(1, 4))
 def test_writhe_tables_match_per_crossing_sums(seed, n_chords, n_components):
     d = _diagram(seed, n_chords, n_components)
     far = _beyond(d)
