@@ -6,25 +6,29 @@ any two arcs can be brought together through them, so an insertion at any
 arc pair is a move of the virtual theory, bigon or not.
 
 Each rule is one predicate that ``enumerate_moves`` and ``apply_move`` share.
-A kink (R1-delete) is two adjacent passages of one crossing; a bigon
-(R2-delete) is an adjacent over pair and under pair on the same two
-crossings, of opposite signs.  An R3 site is a triangle of three strand-runs
-(six distinct passages) on the chord pairs ab, ac, bc of three chords, ranked
-by how many of their two passages are over: 2/1/0 is top/middle/bottom, any
-other split is a cyclic hierarchy and no site.  Let bX say whether run X
-meets its crossing with the higher other run first, and sXY be the sign of
-the crossing of runs X and Y: three directed lines in the plane realize the
-triangle iff sTM == sTB exactly when bM == bB, and sTB == sMB exactly when
-bT == bM.  These two parities admit 16 of the 64 configurations and survive
-flipping all three bits (the move itself).  Deletes remove their strands'
-passages, inserts splice runs of new passages in at gaps, and R3 swaps its
-three adjacent passage pairs in place; every result is a valid diagram.
+A kink (R1-delete) is two adjacent passages of one crossing; any other
+adjacent pair is a strand run, the flat tuple (comp, pos, first crossing,
+second crossing, overs, component length).  A bigon (R2-delete) is an
+over-pair run and an under-pair run on the same two crossings, of opposite
+signs.  An R3 site is a triangle of runs on the chord pairs ab, ac, bc of
+three chords, no two cyclically adjacent (pos + 1 mod length on one
+component; runs on different chord pairs never coincide, so its six passages
+are distinct), ranked by how many of their passages are over: 2/1/0 is
+top/middle/bottom, any other split is a cyclic hierarchy and no site.  Let
+bX say whether run X meets its crossing with the higher other run first, and
+sXY be the sign of the crossing of runs X and Y: three directed lines in the
+plane realize the triangle iff sTM == sTB exactly when bM == bB, and sTB ==
+sMB exactly when bT == bM.  These two parities admit 16 of the 64
+configurations and survive flipping all three bits (the move itself).
+Deletes remove their strands' passages, inserts splice runs of new passages
+in at gaps, and R3 swaps its three adjacent passage pairs in place; every
+result is a valid diagram.
 
 Sites come in ``KINDS`` order, R3 sites in their runs' (comp, pos) order.
-One pass over the adjacent passage pairs finds the kinks, the first per
-crossing, and the strand runs, indexed once by chord pair: a bigon pairs an
-over-pair run with an under-pair run on its chord pair, and a triangle takes
-one run from each chord pair of a chord triple.
+One pass finds the kinks, the first per crossing, and the runs, indexed once
+by their sorted integer chord pair.  The search proposes an over-pair and an
+under-pair run of one chord pair as bigons, one run from each chord pair of
+a chord triple as triangles, and keeps those that the rules accept.
 Insert sites are numbered, not searched: over the gaps in (comp, gap) order
 (an empty component has one), site i has variant i % 4 at gap i // 4 (R1) or
 gap pair divmod(i // 4, gaps) (R2), so ``MoveSites`` builds one by index.
@@ -36,6 +40,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .diagram import OVER, UNDER, Diagram, Passage
 from .errors import PreconditionError, StaleMoveError
@@ -44,8 +49,7 @@ __all__ = ["MoveSite", "MoveSites", "enumerate_moves", "apply_move", "walk", "ra
            "kinds_within", "KINDS"]
 
 KINDS = ("R1-delete", "R2-delete", "R3", "R1-insert", "R2-insert")
-_CROSSING_DELTA = {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1,
-                   "R2-delete": -2, "R3": 0}
+_CROSSING_DELTA = {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1, "R2-delete": -2, "R3": 0}
 
 
 def kinds_within(budget: int) -> list[str]:
@@ -80,16 +84,17 @@ class MoveSite:
 
 
 def _run(d: Diagram, ci: int, pos: int):
-    """Record of the strand run through positions pos and pos+1 of component
-    ci, or None if both passages belong to one crossing (a kink)."""
+    """The run at positions pos, pos+1 of component ci; None for a kink."""
     comp = d.components[ci]
-    nxt = (pos + 1) % len(comp)
-    p, q = comp[pos], comp[nxt]
+    p, q = comp[pos], comp[(pos + 1) % len(comp)]
     if p.crossing == q.crossing:
         return None
-    return {"loc": (ci, pos), "span": frozenset(((ci, pos), (ci, nxt))),
-            "chords": frozenset((p.crossing, q.crossing)), "overs": p.over + q.over,
-            "order": (p.crossing, q.crossing)}
+    return (ci, pos, p.crossing, q.crossing, p.over + q.over, len(comp))
+
+
+def _pair(r) -> tuple[int, int]:
+    """A run's chord pair, the smaller crossing first."""
+    return (r[2], r[3]) if r[2] < r[3] else (r[3], r[2])
 
 
 def _kink(d: Diagram, ci: int, pos: int) -> bool:
@@ -97,19 +102,14 @@ def _kink(d: Diagram, ci: int, pos: int) -> bool:
     return len(d.components[ci]) > 1 and _run(d, ci, pos) is None
 
 
-def _bigon(d: Diagram, ci: int, pos: int, cj: int, qos: int) -> bool:
-    """The R2-delete rule: over pair at (ci, pos), under pair at (cj, qos)."""
-    co, cu = d.components[ci], d.components[cj]
-    po, qo = co[pos], co[(pos + 1) % len(co)]
-    pu, qu = cu[qos], cu[(qos + 1) % len(cu)]
-    return (po.over and qo.over and not pu.over and not qu.over
-            and po.crossing != qo.crossing and po.sign == -qo.sign
-            and {po.crossing, qo.crossing} == {pu.crossing, qu.crossing})
+def _bigon(d: Diagram, o, u) -> bool:
+    """The R2-delete rule on runs (or None): o over, u under one chord pair."""
+    return (o is not None and u is not None and o[4] == 2 and u[4] == 0
+            and _pair(o) == _pair(u) and d.sign(o[2]) != d.sign(o[3]))
 
 
 def _searched_sites(d: Diagram, kinds) -> list[MoveSite]:
-    """The R1-delete, R2-delete and R3 sites of ``kinds``, in ``KINDS`` order,
-    from one pass over the cyclically adjacent passage pairs."""
+    """The R1-delete, R2-delete and R3 sites of ``kinds``, in ``KINDS`` order."""
     if all(k in _INSERTS for k in kinds):
         return []
     kinks, runs, by_pair = {}, [], {}
@@ -119,17 +119,16 @@ def _searched_sites(d: Diagram, kinds) -> list[MoveSite]:
                 kinks.setdefault(comp[pos].crossing, (ci, pos))  # O1U1 is a kink twice
             else:
                 runs.append(r)
-                by_pair.setdefault(tuple(sorted(r["chords"])), []).append(r)
+                by_pair.setdefault(_pair(r), []).append(r)
     out = [MoveSite("R1-delete", loc) for loc in kinks.values()] if "R1-delete" in kinds else []
     if "R2-delete" in kinds:
-        out += [MoveSite("R2-delete", (*o["loc"], *u["loc"]))
-                for o in runs if o["overs"] == 2 for u in by_pair[tuple(sorted(o["chords"]))]
-                if u["overs"] == 0 and _bigon(d, *o["loc"], *u["loc"])]
+        out += [MoveSite("R2-delete", (*o[:2], *u[:2])) for o in runs if o[4] == 2
+                for u in by_pair[_pair(o)] if u[4] == 0 and _bigon(d, o, u)]
     if "R3" in kinds:
         # A triangle's runs lie on the pairs ab, ac, bc of chords a < b < c; runs
         # are listed in (comp, pos) order, so sorted location triples are sorted sites.
-        found = sorted(tuple(sorted(r["loc"] for r in trio))
-                       for a, pairs in itertools.groupby(sorted(by_pair), lambda pair: pair[0])
+        found = sorted(tuple(r[:2] for r in sorted(trio))
+                       for a, pairs in itertools.groupby(sorted(by_pair), itemgetter(0))
                        for (_, b), (_, c) in itertools.combinations(pairs, 2) if (b, c) in by_pair
                        for trio in itertools.product(by_pair[a, b], by_pair[a, c], by_pair[b, c])
                        if _triangle(d, trio))
@@ -142,21 +141,23 @@ def _realizable(bt: bool, bm: bool, bb: bool, s_tm: int, s_tb: int, s_mb: int) -
     return (s_tm == s_tb) == (bm == bb) and (s_tb == s_mb) == (bt == bm)
 
 
+def _adjacent(x, y) -> bool:
+    """Whether runs x and y share a passage: neighbours on one component."""
+    return x[0] == y[0] and (x[1] - y[1]) % x[5] in (1, x[5] - 1)
+
+
 def _triangle(d: Diagram, trio) -> bool:
-    """Whether a run triple is a legal R3 site: six distinct passages on
-    distinct chord pairs of three chords, ranked 2/1/0, realizable."""
-    a, b, c = (r["chords"] for r in trio)
-    if (len(a | b | c) != 3 or a == b or a == c or b == c
-            or len(trio[0]["span"] | trio[1]["span"] | trio[2]["span"]) != 6):
+    """The R3 rule of the module docstring on a run triple."""
+    rb, rm, rt = sorted(trio, key=itemgetter(4))
+    if ((rb[4], rm[4], rt[4]) != (0, 1, 2) or len({_pair(r) for r in trio}) != 3
+            or len({c for r in trio for c in r[2:4]}) != 3
+            or _adjacent(rb, rm) or _adjacent(rb, rt) or _adjacent(rm, rt)):
         return False
-    rt, rm, rb = sorted(trio, key=lambda r: -r["overs"])
-    if (rt["overs"], rm["overs"], rb["overs"]) != (2, 1, 0):
-        return False
-    c_tm = next(iter(rt["chords"] & rm["chords"]))
-    c_tb = next(iter(rt["chords"] & rb["chords"]))
-    c_mb = next(iter(rm["chords"] & rb["chords"]))
-    return _realizable(rt["order"][0] == c_tm, rm["order"][0] == c_tm,
-                       rb["order"][0] == c_tb, d.sign(c_tm), d.sign(c_tb), d.sign(c_mb))
+    # Each chord lies on two runs: the one two runs share, the third misses.
+    total = sum(r[2] + r[3] for r in trio) // 2
+    c_tm, c_tb, c_mb = (total - r[2] - r[3] for r in (rb, rm, rt))
+    return _realizable(rt[2] == c_tm, rm[2] == c_tm, rb[2] == c_tb,
+                       d.sign(c_tm), d.sign(c_tb), d.sign(c_mb))
 
 
 # Insert kind -> (gaps per site, variants in order); KINDS lists them last.
@@ -251,17 +252,16 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         return _without(d, [m.location])
 
     if m.kind == "R2-delete":
-        if not (_at(d, *m.location[:2]) and _at(d, *m.location[2:])
-                and _bigon(d, *m.location)):
+        o, u = (_run(d, *loc) if _at(d, *loc) else None
+                for loc in (m.location[:2], m.location[2:]))
+        if not _bigon(d, o, u):
             raise StaleMoveError(f"no R2 pair at {m.location}")
         return _without(d, [m.location[:2], m.location[2:]])
 
     if m.kind == "R3":
-        trio = []
-        for ci, pos in m.location:
-            if not _at(d, ci, pos) or (run := _run(d, ci, pos)) is None:
-                raise StaleMoveError(f"no R3 run at {(ci, pos)}")
-            trio.append(run)
+        trio = [_run(d, *loc) if _at(d, *loc) else None for loc in m.location]
+        if None in trio:
+            raise StaleMoveError(f"no R3 run at {tuple(m.location[trio.index(None)])}")
         if not _triangle(d, trio):
             raise StaleMoveError(f"no legal R3 triangle at {m.location}")
         comps = [list(comp) for comp in d.components]

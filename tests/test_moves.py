@@ -3,11 +3,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vknots import parse, serialize
+from vknots import Diagram, Passage, parse, serialize
 from vknots.errors import PreconditionError, StaleMoveError, VknotsError
-from vknots.moves import (KINDS, MoveSite, MoveSites, _bigon, _kink, _realizable,
-                          apply_move, enumerate_moves, random_walk, walk)
+from vknots.moves import (KINDS, MoveSite, MoveSites, _adjacent, _bigon, _kink, _realizable,
+                          _run, apply_move, enumerate_moves, random_walk, walk)
 from conftest import random_knot, random_chord_diagram
 
 
@@ -129,13 +131,16 @@ def test_walk_zero_steps(vtref):
 
 
 def _reference_walk(d, steps, seed, max_crossings):
-    """The walk by its definition: enumerate every site, keep those whose
+    """The walk by its definition, on this file's brute-force oracles and
+    not on the site search: list every site in KINDS order, keep those whose
     crossing change fits the budget, draw one."""
     cur = d
     rng = random.Random(seed)
     for _ in range(steps):
         budget = max_crossings - cur.n_crossings
-        sites = [m for m in enumerate_moves(cur) if m.crossing_delta <= budget]
+        every = [*itertools.chain(*_delete_oracle(cur)), *_r3_oracle(cur),
+                 *_insert_sites_oracle(cur, "R1-insert"), *_insert_sites_oracle(cur, "R2-insert")]
+        sites = [m for m in every if m.crossing_delta <= budget]
         if not sites:
             return
         cur = apply_move(cur, sites[rng.randrange(len(sites))])
@@ -396,7 +401,8 @@ def _delete_oracle(d):
         if _kink(d, ci, pos) and crossing not in seen:
             seen.add(crossing)
             kinks.append(MoveSite("R1-delete", (ci, pos)))
-    bigons = [MoveSite("R2-delete", (*o, *u)) for o in locs for u in locs if _bigon(d, *o, *u)]
+    bigons = [MoveSite("R2-delete", (*o, *u)) for o in locs for u in locs
+              if _bigon(d, _run(d, *o), _run(d, *u))]
     return kinks, bigons
 
 
@@ -420,6 +426,41 @@ def test_every_kind_subset_lists_its_kinds_in_order():
                 assert listed == [m for m in every if m.kind in kinds], (kinds, serialize(d))
                 sites = MoveSites(d, kinds)
                 assert [sites[i] for i in range(len(sites))] == listed
+
+
+@st.composite
+def _walk_starts(draw):
+    """1-4 components cut from a shuffled list of the passages of 0-6 chords:
+    equal cuts leave empty components, cuts two apart 2-passage ones."""
+    signs = draw(st.lists(st.sampled_from((1, -1)), max_size=6))
+    slots = draw(st.permutations([Passage(c, s, g) for c, g in enumerate(signs, 1) for s in "OU"]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(slots)), max_size=3)))
+    bounds = [0, *cuts, len(slots)]
+    return Diagram(tuple(tuple(slots[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walk_starts(), st.integers(0, 40), st.integers(0, 2**31 - 1))
+@example(parse("O1+U2-;O2-U1+;0"), 40, 0)
+@example(parse("0;O1+U1+;0;0"), 40, 1)
+def test_searched_sites_match_the_oracles_along_walks(start, steps, seed):
+    for d in [start, *walk(start, steps, seed, 12)]:
+        kinks, bigons = _delete_oracle(d)
+        r3 = _r3_oracle(d)
+        for kinds, expected in ((("R1-delete",), kinks), (("R2-delete",), bigons), (("R3",), r3),
+                                (("R1-delete", "R2-delete", "R3"), kinks + bigons + r3)):
+            assert enumerate_moves(d, kinds) == expected, (kinds, serialize(d))
+
+
+@pytest.mark.parametrize("code", ["O1+O2-U3+U1+O4-U2-O3+U4-", "O1+O2+;U1+U2+",
+                                  "O1+O2+O3+;U1+U2+U3+", "O1+U2+O3-U4+;O2+U1+O4+U3-"])
+def test_adjacent_runs_are_those_sharing_a_passage(code):
+    d = parse(code)
+    runs = [_run(d, ci, pos) for ci, comp in enumerate(d.components) for pos in range(len(comp))]
+    assert None not in runs
+    for x, y in itertools.combinations(runs, 2):
+        span = [{(r[0], r[1]), (r[0], (r[1] + 1) % r[5])} for r in (x, y)]
+        assert _adjacent(x, y) == _adjacent(y, x) == bool(span[0] & span[1]), (x, y)
 
 
 # sha256 digests of _contract_digests(): the site lists and seeded walks,
