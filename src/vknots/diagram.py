@@ -85,10 +85,6 @@ class Passage:
     def token(self) -> str:
         return f"{self.strand}{self.crossing}{'+' if self.sign > 0 else '-'}"
 
-    def _sort_key(self):
-        # Token order: strand O < U, then id, then sign + < -.
-        return (0 if self.strand == OVER else 1, self.crossing, 0 if self.sign > 0 else 1)
-
 
 Component = tuple  # tuple[Passage, ...]
 
@@ -232,20 +228,24 @@ def parse(text: str) -> Diagram:
     return Diagram(tuple(components))
 
 
-def _min_rotation(comp: Component) -> Component:
-    keys = [p._sort_key() for p in comp]
-    best = min(range(len(comp)), key=lambda r: keys[r:] + keys[:r])
-    return comp[best:] + comp[:best]
-
-
 def serialize(d: Diagram) -> str:
-    """Canonical text: each component rotated to its least token sequence."""
+    """Canonical text: each component rotated to its least token sequence.
+
+    Tokens order by strand (``O`` < ``U``), then crossing id as a number,
+    then sign (``+`` < ``-``).  A valid Diagram meets each (strand, crossing
+    id) at most once per component, so the least token is unique and the
+    rotation that starts at it is the least: one pass per component, with
+    no rotations compared.
+    """
     parts = []
     for comp in d.components:
         if not comp:
             parts.append("0")
-        else:
-            parts.append("".join(p.token() for p in _min_rotation(comp)))
+            continue
+        keys = [(p.strand, p.crossing) for p in comp]
+        r = keys.index(min(keys))
+        parts.append("".join([f"{p.strand}{p.crossing}{'+' if p.sign > 0 else '-'}"
+                              for p in comp[r:] + comp[:r]]))
     return ";".join(parts)
 
 

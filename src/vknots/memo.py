@@ -8,8 +8,8 @@ per-diagram results does so through ``memo``: a C ``functools.lru_cache``
 hashable, immutable ``Diagram`` (for ``span_table`` and ``_knot_vector``,
 passage tuples, which equal cuts or smoothings of any diagrams share) and
 the rest.  Every table is registered in ``TABLES``: ``index_map``,
-``type1_rows``, ``dwrithe``, ``span_table``, ``_knot_vector`` and
-``fingerprint``.
+``type1_rows``, ``dwrithe``, ``span_table``, ``_knot_vector``,
+``fingerprint`` and ``_b_rows``.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

@@ -1,8 +1,15 @@
 import importlib
+import json
+import random
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vknots import PreconditionError, crossing_change, flat_key, parse, serialize
+from vknots import PreconditionError, crossing_change, flat_key, memo, parse, serialize
+from vknots.cli import main
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
@@ -14,8 +21,8 @@ from vknots.invariants import (
     self_crossings,
 )
 from vknots.invariants.fingerprint import _sublink
-from vknots.smoothing import smooth2
-from conftest import oracle_sublink, random_knot, walk_corpus
+from vknots.smoothing import smooth2, smooth2_changed
+from conftest import oracle_sublink, random_chord_diagram, random_knot, walk_corpus
 
 
 def _within(d, comps):
@@ -81,6 +88,84 @@ def test_kishino_linked_third_component(kishino):
             )
             patterns.append(spans)
     assert len(set(patterns)) >= 2
+
+
+def _oracle_b_sum(d, i):
+    """The B-sum as defined: the type-2 smoothing at each self-crossing of
+    component i, with that crossing's sign."""
+    return flat_sum([(smooth2(d, c), d.sign(c)) for c in self_crossings(d, i)])
+
+
+def _oracle_b_flat_sum(d, i):
+    """The flat B-sum as defined: per self-crossing c, the type-2 smoothing
+    at c with c's sign, then the type-2 smoothing of d with c changed, with
+    the sign negated."""
+    pairs = []
+    for c in self_crossings(d, i):
+        pairs.append((smooth2(d, c), d.sign(c)))
+        pairs.append((smooth2(crossing_change(d, c), c), -d.sign(c)))
+    return flat_sum(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 14), st.integers(1, 3))
+def test_b_sums_match_their_definitions(seed, n_chords, n_components):
+    """Whole terms, representatives included, from a cold memo and with
+    either half of the B-sum rows already memoised."""
+    d = random_chord_diagram(random.Random(seed), n_chords, n_components)
+    for i in range(1, n_components + 1):
+        want = (_oracle_b_sum(d, i), _oracle_b_flat_sum(d, i))
+        memo.clear()
+        assert b_sum(d, i) == want[0]
+        memo.clear()
+        assert b_flat_sum(d, i) == want[1]
+        memo.clear()
+        assert (b_sum(d, i), b_flat_sum(d, i)) == want
+        memo.clear()
+        flat = b_flat_sum(d, i)
+        assert (b_sum(d, i), flat) == want
+    memo.clear()
+
+
+def test_batch_row_smooths_and_keys_each_b_sum_term_once(monkeypatch, capsys,
+                                                          tmp_path):
+    """``bsum(i)`` and ``bflat(i)`` on one row share their type-2 smoothings:
+    each self-crossing's smoothing and its changed twin are built once and
+    flat-keyed once, wherever vknots calls the three functions from."""
+    link = parse("O1+O2-U1+U2-O5+U6-;O3-U4+U3-O4+U5+O6-")
+    built = {"smooth2": [], "smooth2_changed": []}
+    keyed = []
+
+    def builder(name, real):
+        def wrapped(d, c):
+            rep = real(d, c)
+            built[name].append(((d, c), rep))
+            return rep
+        return wrapped
+
+    def key(d):
+        keyed.append(d)
+        return flat_key(d)
+
+    fakes = {flat_key: key, smooth2: builder("smooth2", smooth2),
+             smooth2_changed: builder("smooth2_changed", smooth2_changed)}
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "vknots" or name.startswith("vknots.")):
+            for attr, value in list(vars(mod).items()):
+                if callable(value) and value in fakes:
+                    monkeypatch.setattr(mod, attr, fakes[value])
+    cat = tmp_path / "cat.tsv"
+    cat.write_text(f"L\t{serialize(link)}\n", encoding="utf-8")
+    inv = "bsum(1),bflat(1),bsum(2),bflat(2)"
+    assert main(["batch", "--json", "--inv", inv, str(cat)]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert all(row[spec] for spec in inv.split(","))
+    selfs = [(link, c) for i in (1, 2) for c in self_crossings(link, i)]
+    assert len(selfs) == 4
+    for name, calls in built.items():
+        assert Counter(args for args, _ in calls) == Counter(selfs), name
+    reps = [rep for calls in built.values() for _, rep in calls]
+    assert sorted(map(id, keyed)) == sorted(map(id, reps))
 
 
 def test_flatsum_nonzero_tristate(vtref):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import builtin_catalog, lookup, memo, parse
+from vknots import Diagram, builtin_catalog, lookup, memo, parse
 from vknots.cli import _default_battery, main
 from vknots.invariants import comparable_invariant, dwrithe, fingerprint
 from vknots.invariants.fingerprint import _knot_vector
+from vknots.invariants.flatsums import _b_rows
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import type1_rows
 from vknots.labeling import index_map
@@ -29,11 +30,20 @@ def _totals():
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
         index_map, type1_rows, dwrithe, span_table, _knot_vector, fingerprint,
+        _b_rows,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
 
 
-def test_memoised_tables_are_read_only(k431, hopf):
+def _holds_list(value) -> bool:
+    if isinstance(value, list):
+        return True
+    if isinstance(value, Diagram):
+        return _holds_list(value.components)
+    return isinstance(value, tuple) and any(_holds_list(x) for x in value)
+
+
+def test_memoised_tables_are_read_only(k431, hopf, kishino):
     """A memoised value is shared by every later caller, so none can be
     edited in place: mappings are read-only views, rows are tuples."""
     link = parse("U2-U4+;O1-O4+U1-O2-")  # K431 split at crossing 3
@@ -50,6 +60,11 @@ def test_memoised_tables_are_read_only(k431, hopf):
     vec = _knot_vector(*k431.components, 2)
     assert isinstance(vec, tuple) and all(isinstance(x, (str, tuple)) for x in vec)
     assert isinstance(fingerprint(hopf, 0, 1), tuple)
+    for changed in (False, True):
+        rows = _b_rows(kishino, 1, changed)
+        assert isinstance(rows, tuple) and len(rows) == 4
+        assert all(isinstance(row, tuple) for row in rows)
+        assert not _holds_list(rows)
 
 
 def test_builtin_catalog_is_read_only():
