@@ -129,7 +129,10 @@ def _fmt_spec(name: str, params: dict) -> str:
     return f"{name}({','.join(str(params[p]) for p in spec.params)})"
 
 
-def _render_value(value, as_json: bool):
+def _render_value(value, as_json: bool, text=None):
+    """``value`` as text, or as JSON data; ``text`` writes a diagram
+    (``serialize`` by default)."""
+    text = text or serialize
     if isinstance(value, LaurentPoly):
         return value.to_json_dict() if as_json else value.render()
     if isinstance(value, inv.LinkingNumbers):
@@ -139,10 +142,25 @@ def _render_value(value, as_json: bool):
     if isinstance(value, inv.FlatSum):
         if as_json:
             return {"terms": [
-                {"coef": c, "diagram": serialize(rep)} for _, c, rep in value.terms
+                {"coef": c, "diagram": text(rep)} for _, c, rep in value.terms
             ]}
-        return value.render()
+        return value.render(text)
     return value if as_json else str(value)
+
+
+def _texts():
+    """``serialize`` that writes each diagram object once: ``bsum(i)`` and
+    ``bflat(i)`` of one batch row share most of their representatives."""
+    seen: dict[int, tuple[Diagram, str]] = {}
+
+    def text(d: Diagram) -> str:
+        # The entry keeps d alive, so its id is not reused while it is kept.
+        hit = seen.get(id(d))
+        if hit is None:
+            hit = seen[id(d)] = (d, serialize(d))
+        return hit[1]
+
+    return text
 
 
 # -- subcommands --------------------------------------------------------
@@ -258,6 +276,7 @@ def cmd_batch(args) -> int:
     for entry in entries:
         d = entry.diagram()
         row = {"name": entry.name}
+        text = _texts()
         for name, params in _inv_list(args.inv, d, args):
             label = _fmt_spec(name, params)
             try:
@@ -265,7 +284,7 @@ def cmd_batch(args) -> int:
             except PreconditionError:
                 row[label] = None
                 continue
-            row[label] = _render_value(value, args.json)
+            row[label] = _render_value(value, args.json, text)
         results.append(row)
         memo.clear()
     if args.json:

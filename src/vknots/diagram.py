@@ -343,15 +343,23 @@ def reverse_component(d: Diagram, i: int) -> Diagram:
     return splice(d, (t,), ((), d.components[t]))
 
 
-def crossing_groups(d: Diagram) -> dict[tuple[int, ...], set[int]]:
+def crossing_groups(components) -> dict[tuple[int, ...], set[int]]:
     """Crossing ids by the 0-based components they lie on, in one pass over
-    the crossing table: ``(i,)`` holds the self-crossings of component i and
-    ``(i, j)``, i < j, the crossings joining i and j.  A component or pair
-    without crossings has no entry."""
+    a diagram's components (passage tuples, each crossing met twice):
+    ``(i,)`` holds the self-crossings of component i and ``(i, j)``, i < j,
+    the crossings joining i and j.  A component or pair without crossings
+    has no entry."""
     groups: dict[tuple[int, ...], set[int]] = {}
-    for cid, (oc, _, uc, _, _) in d._table.items():
-        key = (oc,) if oc == uc else (min(oc, uc), max(oc, uc))
-        groups.setdefault(key, set()).add(cid)
+    first: dict[int, int] = {}  # crossing -> component of its first passage
+    for ci, comp in enumerate(components):
+        for p in comp:
+            c = p.crossing
+            prev = first.pop(c, None)
+            if prev is None:
+                first[c] = ci
+                continue
+            key = (ci,) if prev == ci else (prev, ci)
+            groups.setdefault(key, set()).add(c)
     return groups
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..diagram import Diagram, component_index, crossing_groups, flat_key
+from ..diagram import Diagram, component_index, crossing_groups, flat_key, serialize
 from ..laurent import render_sum
 from ..memo import memo
 from ..smoothing import smooth2, smooth2_changed
@@ -37,8 +37,11 @@ class FlatSum:
     def coefficients(self) -> dict[str, int]:
         return {key: coef for key, coef, _ in self.terms}
 
-    def render(self) -> str:
-        return render_sum((coef, f"[{rep}]") for _, coef, rep in self.terms)
+    def render(self, text=None) -> str:
+        """The sum as text, each representative written by ``text``
+        (``serialize`` by default)."""
+        text = text or serialize
+        return render_sum((coef, f"[{text(rep)}]") for _, coef, rep in self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -65,7 +68,7 @@ def flat_sum(pairs: Iterable[tuple[Diagram, int]]) -> FlatSum:
 
 def self_crossings(d: Diagram, i: int) -> tuple[int, ...]:
     """Crossings with both passages on component i (1-based)."""
-    return tuple(sorted(crossing_groups(d).get((component_index(d, i),), ())))
+    return tuple(sorted(crossing_groups(d.components).get((component_index(d, i),), ())))
 
 
 @memo

@@ -5,11 +5,23 @@ command asks for the same index map, type-1 smoothing rows, difference
 writhe or span rows many times.  Every function that caches such
 per-diagram results does so through ``memo``: a C ``functools.lru_cache``
 (hits stay cheap) bounded by ``MAXSIZE`` and keyed on its arguments: a
-hashable, immutable ``Diagram`` (for ``span_table`` and ``_knot_vector``,
-passage tuples, which equal cuts or smoothings of any diagrams share) and
-the rest.  Every table is registered in ``TABLES``: ``index_map``,
-``type1_rows``, ``dwrithe``, ``span_table``, ``_knot_vector``,
-``fingerprint`` and ``_b_rows``.
+hashable, immutable ``Diagram`` (for ``span_table``, ``_knot_vector`` and
+``_canonical_fingerprint``, passage tuples, which equal cuts or smoothings
+of any diagrams share) and the rest.  Every table is registered in
+``TABLES``: ``index_map``, ``type1_rows``, ``dwrithe``, ``span_table``,
+``_knot_vector``, ``fingerprint``, ``_canonical_fingerprint`` and
+``_b_rows``.
+
+Two of them hold fingerprints.  ``_canonical_fingerprint`` computes one on
+a canonical component tuple: the crossing-free components dropped and the
+rest ordered by their first passage's ``(crossing, strand)``.
+``fingerprint``, keyed on the Diagram, relabels that value for the
+Diagram's own order and crossing-free components: component entries move
+with their component, pair entries with their pair (negated when the pair's
+order flips), a crossing-free component gets the knot vector of no
+passages, zero pair vectors and an empty ``bflat`` map, and ``bflat``
+bucket keys are relabelled the same way, the B-sum term's new component
+kept last, and sorted again.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

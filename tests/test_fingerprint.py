@@ -14,12 +14,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import Diagram, Passage, memo, parse, serialize
+from vknots import Diagram, Passage, arc_labeling, memo, parse, serialize
 from vknots.invariants import (
     b_flat_sum,
     b_sum,
@@ -31,7 +32,8 @@ from vknots.invariants import (
     restricted_flatsum_fingerprint,
 )
 from vknots.invariants.fingerprint import _knot_vector, _pair_vector, _sublink
-from conftest import named, oracle_sublink
+from vknots.smoothing import smooth1, smooth3
+from conftest import named, oracle_sublink, random_chord_diagram
 
 fingerprint_module = importlib.import_module("vknots.invariants.fingerprint")
 
@@ -175,7 +177,7 @@ def test_component_without_self_crossings_takes_no_b_sum(monkeypatch, code, call
 def test_sublink_keeping_every_component_is_the_diagram(code):
     d = parse(code)
     keep = tuple(range(d.n_components))
-    assert _sublink(d, keep, set(d.crossing_ids())) == d.components
+    assert _sublink(d.components, keep, set(d.crossing_ids())) == d.components
 
 
 def test_knot_vector_reads_the_knot_itself(monkeypatch, k431):
@@ -259,3 +261,89 @@ def test_depth_two_fingerprints_are_pinned(name, digest):
     with the code under test still shows."""
     fp = fingerprint(named(name), 2, 3)
     assert hashlib.sha256(repr(fp).encode()).hexdigest() == digest
+
+
+# -- the knot and pair vectors against smoothed Diagrams -------------------------
+
+
+def _labelled_table(k: Diagram) -> dict:
+    """Signed crossing count per index of a knot Diagram, each index read
+    off its arc labels: ind(c) = o - u - sign(c)."""
+    labels = arc_labeling(k).as_dict()
+    acc: dict = {}
+    for c in k.crossing_ids():
+        (_, oi), (_, ui) = k.passage_positions(c)
+        ind = labels[0, oi] - labels[0, ui] - k.sign(c)
+        acc[ind] = acc.get(ind, 0) + k.sign(c)
+    return acc
+
+
+def _labelled_dwrithe(k: Diagram, n: int) -> int:
+    table = _labelled_table(k)
+    return table.get(n, 0) - table.get(-n, 0)
+
+
+def _oracle_knot_vector(comp: tuple, window: int) -> tuple:
+    """dj_n for n in 1..window, then m * (sum of sign(c) * dj_n of the
+    type-1 smoothing at c over the crossings c of index m or -m) for n and
+    m in 1..window, n major, each smoothing a Diagram of ``smooth1``."""
+    k = Diagram((comp,))
+    labels = arc_labeling(k).as_dict()
+    index = {}
+    for c in k.crossing_ids():
+        (_, oi), (_, ui) = k.passage_positions(c)
+        index[c] = labels[0, oi] - labels[0, ui] - k.sign(c)
+    ws = range(1, window + 1)
+    dj = tuple(_labelled_dwrithe(k, n) for n in ws)
+    djnm = []
+    for n in ws:
+        for m in ws:
+            djnm.append(m * sum(k.sign(c) * _labelled_dwrithe(smooth1(k, c), n)
+                                for c, i in index.items() if i in (m, -m)))
+    return ("dj", dj, "djnm", tuple(djnm))
+
+
+def _oracle_pair_vector(first: tuple, second: tuple, window: int) -> tuple:
+    """The span (sign when ``first`` passes over, minus it otherwise,
+    summed over the joining crossings) and, for n in 1..window and k in
+    0..window, that sum over the joining crossings whose ``smooth3``
+    Diagram has |dj_n| = k, twice over at k = 0."""
+    link = Diagram((first, second))
+    span = 0
+    fspan = [0] * (window * (window + 1))
+    for c in link.crossing_ids():
+        oc, uc = link.components_of(c)
+        if oc == uc:
+            continue
+        s = link.sign(c) if oc == 0 else -link.sign(c)
+        span += s
+        merged = smooth3(link, c)
+        for n in range(1, window + 1):
+            k = abs(_labelled_dwrithe(merged, n))
+            if k <= window:
+                fspan[(n - 1) * (window + 1) + k] += s if k else 2 * s
+    return ("span", span, "fspan", tuple(fspan))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 9), st.integers(1, 4))
+def test_knot_vector_equals_smoothed_diagram_oracle(seed, n_chords, window):
+    k = random_chord_diagram(random.Random(seed), n_chords, 1)
+    assert _knot_vector(k.components[0], window) \
+        == _oracle_knot_vector(k.components[0], window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 9), st.integers(1, 4))
+def test_pair_vector_equals_smoothed_diagram_oracle(seed, n_chords, window):
+    link = random_chord_diagram(random.Random(seed), n_chords, 2)
+    assert _pair_vector(*link.components, window) \
+        == _oracle_pair_vector(*link.components, window)
+
+
+def test_knot_vector_oracle_tells_n_from_m(k431):
+    """K431's (n,m) refinements are not symmetric in n and m: (1,2) is 0
+    and (2,1) is 2, so a vector with the two transposed fails."""
+    vec = _oracle_knot_vector(k431.components[0], 2)
+    assert vec == ("dj", (0, 0), "djnm", (-4, 0, 2, 0))
+    assert _knot_vector(k431.components[0], 2) == vec

@@ -155,7 +155,7 @@ def test_span_table_reads_a_pair_cut_off_a_link(seed, n_chords, n_components):
     fingerprint's cut of the link's passages, against the type-3 smoothings
     of the pair's sublink Diagram."""
     d = random_chord_diagram(random.Random(seed), n_chords, n_components)
-    groups = crossing_groups(d)
+    groups = crossing_groups(d.components)
     for i, j in combinations(range(n_components), 2):
         sub = oracle_sublink(d, (i, j))
         want = []
@@ -166,7 +166,7 @@ def test_span_table_reads_a_pair_cut_off_a_link(seed, n_chords, n_components):
                 assert smooth3(sub, c) == k
                 want.append((sub.sign(c) if oc == 0 else -sub.sign(c), oracle_table(k)))
         kept = set().union(*(groups.get(g, ()) for g in ((i,), (j,), (i, j))))
-        cut = _sublink(d, (i, j), kept)
+        cut = _sublink(d.components, (i, j), kept)
         assert cut == sub.components
         assert [(s, dict(t)) for s, t in span_table(*cut)] == want, (i, j)
 

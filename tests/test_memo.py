@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vknots import Diagram, builtin_catalog, lookup, memo, parse
 from vknots.cli import _default_battery, main
 from vknots.invariants import comparable_invariant, dwrithe, fingerprint
-from vknots.invariants.fingerprint import _knot_vector
+from vknots.invariants.fingerprint import _canonical_fingerprint, _knot_vector
 from vknots.invariants.flatsums import _b_rows
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import type1_rows
@@ -30,7 +30,7 @@ def _totals():
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
         index_map, type1_rows, dwrithe, span_table, _knot_vector, fingerprint,
-        _b_rows,
+        _canonical_fingerprint, _b_rows,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
 
