@@ -251,11 +251,14 @@ def cmd_distinguish(args) -> int:
               f"{da.n_components} != {db.n_components}")
         return 0
     todo = _inv_list(args.inv, da, args)
+    # Skip an invariant that does not apply; if no listed one does, say why.
+    skipped = []
     for name, params in todo:
         try:
             va = inv.comparable_invariant(name, da, params, args.depth, args.window)
             vb = inv.comparable_invariant(name, db, params, args.depth, args.window)
-        except PreconditionError:
+        except PreconditionError as exc:
+            skipped.append(exc)
             continue
         if va != vb:
             label = _fmt_spec(name, params)
@@ -263,6 +266,8 @@ def cmd_distinguish(args) -> int:
             rb = _render_value(inv.compute_invariant(name, db, params), False)
             print(f"DISTINCT via {label}: {ra}  !=  {rb}")
             return 0
+    if args.inv != "all" and len(skipped) == len(todo):
+        raise skipped[0]
     print("INCONCLUSIVE")
     return 1
 

@@ -12,11 +12,12 @@ nonzero total coefficient certifies that the sum is nonzero; nothing here
 ever certifies equality.
 
 Relabelling components acts on fingerprints (``_relabel``), so a fingerprint
-is computed only on a canonical component tuple, its crossing-free
-components dropped and the rest in a fixed order, and read off that for
-every other order and every added crossing-free component.  Each B-sum term
-appends a component and each kink class adds a crossing-free one, so the
-recursion meets the same canonical tuple over and over.
+is computed and memoised only on a canonical component tuple, its
+crossing-free components dropped and the rest in a fixed order, and
+relabelled on every call for every other order and every added
+crossing-free component.  Each B-sum term appends a component and each kink
+class adds a crossing-free one, so the recursion meets the same canonical
+tuple over and over.
 
 One wrinkle: a kink move changes a B-sum by one term whose class is the
 diagram with an unknot added (in one of two computable ways).  Raw bucket
@@ -160,17 +161,16 @@ def _relabel(fp: tuple, where, n: int, depth: int, window: int) -> tuple:
     return tuple(data)
 
 
-@memo
 def fingerprint(d: Diagram, depth: int = DEFAULT_DEPTH,
                 window: int = DEFAULT_WINDOW) -> tuple:
     """Flat invariant vector of an ordered oriented diagram, as a tuple.
 
-    Computed once per canonical component tuple: the crossing-free
-    components dropped and the rest ordered by ``_canonical_order``.  Any
-    other diagram with those components, in any order and with any number
-    of crossing-free components, gets that value relabelled (``_relabel``).
-    The canonical value is memoised on the passage tuples, so neither step
-    builds a Diagram at depth 0."""
+    Not memoised itself: it orders ``d``'s components (``_canonical_order``:
+    the crossing-free ones dropped), looks the canonical tuple up in the one
+    fingerprint table, ``_canonical_fingerprint``, and relabels that value
+    for ``d``'s own order and crossing-free components (``_relabel``).  The
+    table is keyed on passage tuples, so a depth-0 fingerprint builds no
+    Diagram."""
     comps = d.components
     order = _canonical_order(comps)
     fp = _canonical_fingerprint(tuple(comps[k] for k in order), depth, window)

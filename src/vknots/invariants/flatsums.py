@@ -99,9 +99,10 @@ def b_sum(d: Diagram, i: int) -> FlatSum:
 def _b_flat_of(d: Diagram, crossings) -> FlatSum:
     """The flat B-sum over the given self-crossings of one component, for
     the nested B-sums of fingerprints.  Not memoised and not built from
-    ``_b_rows``: the fingerprint memo asks each diagram and depth once, so
-    these smoothings are not asked for again, and routing them through the
-    table (or through two unmemoised halves) only slows ``distinguish``."""
+    ``_b_rows``: the one fingerprint table, ``_canonical_fingerprint``,
+    asks each canonical component tuple and depth once, so these smoothings
+    are not asked for again, and routing them through the table (or through
+    two unmemoised halves) only slows ``distinguish``."""
     pairs = []
     for c in crossings:
         s = d.sign(c)

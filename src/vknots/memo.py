@@ -9,19 +9,16 @@ hashable, immutable ``Diagram`` (for ``span_table``, ``_knot_vector`` and
 ``_canonical_fingerprint``, passage tuples, which equal cuts or smoothings
 of any diagrams share) and the rest.  Every table is registered in
 ``TABLES``: ``index_map``, ``type1_rows``, ``dwrithe``, ``span_table``,
-``_knot_vector``, ``fingerprint``, ``_canonical_fingerprint`` and
-``_b_rows``.
+``_knot_vector``, ``_canonical_fingerprint`` and ``_b_rows``.
 
-Two of them hold fingerprints.  ``_canonical_fingerprint`` computes one on
+One of them holds fingerprints.  ``_canonical_fingerprint`` computes one on
 a canonical component tuple: the crossing-free components dropped and the
 rest ordered by their first passage's ``(crossing, strand)``.
-``fingerprint``, keyed on the Diagram, relabels that value for the
-Diagram's own order and crossing-free components: component entries move
-with their component, pair entries with their pair (negated when the pair's
-order flips), a crossing-free component gets the knot vector of no
-passages, zero pair vectors and an empty ``bflat`` map, and ``bflat``
-bucket keys are relabelled the same way, the B-sum term's new component
-kept last, and sorted again.
+``fingerprint`` itself is not memoised: on every call it relabels that
+value for its Diagram's own order and crossing-free components
+(``fingerprint._relabel`` states the law).  A table keyed on the
+fingerprinted Diagram would hash every passage of each new Diagram and
+keep every Diagram it met, to save only a lookup and a relabel.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

@@ -146,3 +146,24 @@ def test_relabelled_diagram_is_computed_once():
     memo.clear()
     assert after.misses == before.misses
     assert after.hits == before.hits + 1
+
+
+def test_relabelled_copies_add_no_memo_entries():
+    """Only the canonical value is kept: fingerprinting copies with their
+    components permuted and circles inserted adds no entry to any table."""
+    d = parse("O1+O2+U1+U2+O4+U5-;O3-U4+;U3-O5-")
+    a, b, c = d.components
+    copies = [
+        Diagram((c, (), a, b)),
+        Diagram(((), b, a, c)),
+        Diagram((b, c, (), a, ())),
+        Diagram((a, (), (), c, b)),
+    ]
+    memo.clear()
+    fingerprint(d, 1, 2)
+    size = sum(t.cache_info().currsize for t in memo.TABLES)
+    for x in copies:
+        fingerprint(x, 1, 2)
+    after = sum(t.cache_info().currsize for t in memo.TABLES)
+    memo.clear()
+    assert after == size

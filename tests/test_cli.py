@@ -223,6 +223,29 @@ def test_distinguish_equivalent_inconclusive(capsys):
     assert out.strip() == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("djn(0)", "K431", "VTREF"), "n > 0"),
+    (("aip", "HOPF", "UNLINK2"), "needs a knot diagram"),
+    (("bsum(3)", "K431", "VTREF"), "out of range"),
+])
+def test_distinguish_with_nothing_comparable_is_a_precondition_error(
+        capsys, argv, message):
+    """When no listed invariant applies, nothing was compared: exit 3,
+    as ``verify`` does, not INCONCLUSIVE."""
+    code, out, err = run(capsys, "distinguish", "--inv", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("precondition violated:") and message in err
+
+
+def test_distinguish_skips_an_invariant_that_does_not_apply(capsys):
+    code, out, _ = run(capsys, "distinguish", "--inv", "lk,aip", "K431", "VTREF")
+    assert code == 0
+    assert out.startswith("DISTINCT via aip")
+    code, out, _ = run(capsys, "distinguish", "--inv", "djn(0),aip",
+                       "VTREF", "VTREF")
+    assert (code, out.strip()) == (1, "INCONCLUSIVE")
+
+
 def test_batch(capsys, tmp_path):
     cat = tmp_path / "cat.tsv"
     cat.write_text(

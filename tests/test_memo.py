@@ -29,7 +29,7 @@ def _totals():
 
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
-        index_map, type1_rows, dwrithe, span_table, _knot_vector, fingerprint,
+        index_map, type1_rows, dwrithe, span_table, _knot_vector,
         _canonical_fingerprint, _b_rows,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
