@@ -17,15 +17,21 @@ Text grammar (whitespace ignored)::
 
 All values here are immutable; every operation returns a new Diagram.
 
-A ``Passage`` is a plain record and checks nothing; ``Diagram(...)`` checks
-every passage (strand, sign, positive id) and the pairing of each
-crossing's two passages, and builds its crossing table once, in that single
-validating pass of its constructor: crossing id -> ``(over component, over
-position, under component, under position, sign)``, positions 0-based.
-Every per-crossing query (``sign``, ``passage_positions``,
-``components_of``, ``is_self_crossing``, ``crossing_ids``) reads that table
-in O(1) instead of scanning the code.  The hash of the components is
-computed once, on first use.
+A ``Passage`` is an interned record and checks nothing: ``Passage(c, s,
+g)`` returns the one object ``_POOL`` holds for those fields, so passages
+compare and hash by identity, in C, and a tuple of them hashes without a
+Python call per passage.  ``Diagram(...)`` checks every passage (strand,
+sign, positive id) and the pairing of each crossing's two passages, and
+builds its crossing table in that single validating pass
+(``_crossing_table``): crossing id -> ``(over component, over position,
+under component, under position, sign)``, positions 0-based.  Every
+per-crossing query (``sign``, ``passage_positions``, ``components_of``,
+``is_self_crossing``, ``crossing_ids``) reads that table in O(1) instead
+of scanning the code.  The builders here and in ``moves``, whose results
+are valid by construction, make them with ``Diagram._trusted``: no check,
+and the same table built on the first per-crossing query, since many of
+their Diagrams are only hashed, keyed or serialized.  The hash of the
+components is computed once, on first use.
 
 Reversing a segment of a Gauss code flips the sign of every crossing with
 exactly one passage in it.  That rule is stated once, here, in
@@ -42,7 +48,7 @@ type-2 smoothings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable
 
 from .errors import GaussCodeError, PreconditionError, ValidationError
@@ -69,14 +75,48 @@ OVER = "O"
 UNDER = "U"
 
 
-@dataclass(frozen=True, slots=True)
+_POOL: dict[tuple[int, str, int], Passage] = {}  # (crossing, strand, sign) -> its Passage
+
+
 class Passage:
     """One visit of a strand to a classical crossing; ``Diagram(...)``
-    checks its fields."""
+    checks its fields.
+
+    Interned: ``Passage(c, s, g)`` returns the one object ``_POOL`` holds
+    for fields a Diagram accepts, so equal passages are identical and
+    compare and hash by identity.  Fields no Diagram accepts give a fresh
+    object, which is never pooled, so the pool holds at most four passages
+    per crossing id.  Assignment raises ``FrozenInstanceError``."""
+
+    __slots__ = ("crossing", "strand", "sign")
 
     crossing: int
     strand: str  # OVER or UNDER
     sign: int  # +1 or -1
+
+    def __new__(cls, crossing: int, strand: str, sign: int) -> Passage:
+        p = _POOL.get((crossing, strand, sign))
+        if p is None:
+            p = object.__new__(cls)
+            object.__setattr__(p, "crossing", crossing)
+            object.__setattr__(p, "strand", strand)
+            object.__setattr__(p, "sign", sign)
+            if strand in (OVER, UNDER) and sign in (1, -1) and isinstance(crossing, int) \
+                    and crossing >= 1:
+                _POOL[crossing, strand, sign] = p
+        return p
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Passage, (self.crossing, self.strand, self.sign)
+
+    def __repr__(self) -> str:
+        return f"Passage(crossing={self.crossing!r}, strand={self.strand!r}, sign={self.sign!r})"
 
     @property
     def over(self) -> bool:
@@ -94,32 +134,22 @@ class Diagram:
     """An ordered oriented virtual link as a signed multi-component Gauss code."""
 
     components: tuple[Component, ...]
-    _table: dict = field(init=False, repr=False, compare=False)
+    _table: dict | None = field(default=None, init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table: dict[int, tuple[int, int, int, int, int]] = {}
-        unpaired: dict[int, tuple[int, int, Passage]] = {}
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp):
-                first = unpaired.pop(p.crossing, None)
-                if first is None:
-                    if p.crossing in table:
-                        _reject(self.components)
-                    unpaired[p.crossing] = (ci, pi, p)
-                    continue
-                ac, ai, a = first
-                if a.sign != p.sign or p.sign not in (1, -1) or p.crossing < 1:
-                    _reject(self.components)
-                if a.strand == OVER and p.strand == UNDER:
-                    table[p.crossing] = (ac, ai, ci, pi, p.sign)
-                elif a.strand == UNDER and p.strand == OVER:
-                    table[p.crossing] = (ci, pi, ac, ai, p.sign)
-                else:
-                    _reject(self.components)
-        if unpaired:
-            _reject(self.components)
-        object.__setattr__(self, "_table", table)
+        self._rows()  # the public constructor checks the code eagerly
+
+    @classmethod
+    def _trusted(cls, components: tuple[Component, ...]) -> Diagram:
+        """A Diagram of ``components``, which the caller built valid: not
+        checked, and its crossing table built on the first per-crossing
+        query."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "components", components)
+        object.__setattr__(d, "_table", None)
+        object.__setattr__(d, "_hash", None)
+        return d
 
     def __hash__(self) -> int:
         # Computed on first use (many diagrams are never hashed), then kept.
@@ -127,8 +157,13 @@ class Diagram:
             object.__setattr__(self, "_hash", hash(self.components))
         return self._hash
 
+    def _rows(self) -> dict[int, tuple[int, int, int, int, int]]:
+        if self._table is None:
+            object.__setattr__(self, "_table", _crossing_table(self.components))
+        return self._table
+
     def _row(self, crossing: int) -> tuple[int, int, int, int, int]:
-        row = self._table.get(crossing)
+        row = self._rows().get(crossing)
         if row is None:
             raise PreconditionError(f"unknown crossing id {crossing}")
         return row
@@ -140,11 +175,12 @@ class Diagram:
         return len(self.components)
 
     def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._table))
+        return tuple(sorted(self._rows()))
 
     @property
     def n_crossings(self) -> int:
-        return len(self._table)
+        # Each crossing of a valid code has two passages: no table needed.
+        return sum(map(len, self.components)) // 2
 
     def sign(self, crossing: int) -> int:
         return self._row(crossing)[4]
@@ -165,6 +201,35 @@ class Diagram:
 
     def __str__(self) -> str:
         return serialize(self)
+
+
+def _crossing_table(components: tuple[Component, ...]) -> dict:
+    """The crossing table of a code, crossing id -> ``(over component,
+    over position, under component, under position, sign)``, in one pass
+    that checks every passage and pairing; an invalid code raises its
+    ``ValidationError`` (``_reject``)."""
+    table: dict[int, tuple[int, int, int, int, int]] = {}
+    unpaired: dict[int, tuple[int, int, Passage]] = {}
+    for ci, comp in enumerate(components):
+        for pi, p in enumerate(comp):
+            first = unpaired.pop(p.crossing, None)
+            if first is None:
+                if p.crossing in table:
+                    _reject(components)
+                unpaired[p.crossing] = (ci, pi, p)
+                continue
+            ac, ai, a = first
+            if a.sign != p.sign or p.sign not in (1, -1) or p.crossing < 1:
+                _reject(components)
+            if a.strand == OVER and p.strand == UNDER:
+                table[p.crossing] = (ac, ai, ci, pi, p.sign)
+            elif a.strand == UNDER and p.strand == OVER:
+                table[p.crossing] = (ci, pi, ac, ai, p.sign)
+            else:
+                _reject(components)
+    if unpaired:
+        _reject(components)
+    return table
 
 
 def _reject(components: tuple[Component, ...]) -> None:
@@ -258,13 +323,13 @@ def _flip(p: Passage) -> Passage:
 
 def mirror(d: Diagram) -> Diagram:
     """Change every classical crossing: over/under swapped, signs negated."""
-    return Diagram(tuple(tuple(_flip(p) for p in comp) for comp in d.components))
+    return Diagram._trusted(tuple(tuple(_flip(p) for p in comp) for comp in d.components))
 
 
 def crossing_change(d: Diagram, crossing: int) -> Diagram:
     """Change a single classical crossing."""
     d.sign(crossing)  # raises on unknown id
-    return Diagram(
+    return Diagram._trusted(
         tuple(
             tuple(_flip(p) if p.crossing == crossing else p for p in comp)
             for comp in d.components
@@ -325,7 +390,8 @@ def splice(d: Diagram, slots, *loops) -> Diagram:
     component per ``(fwd, back)`` loop, ``fwd + back[::-1]``: the first
     loop takes the smallest of ``slots``, any others are appended last.  A
     crossing with exactly one passage in the ``back`` segments flips sign,
-    on every component."""
+    on every component.  The loops hold the passages of the components at
+    ``slots``, less whole crossings: the result is not checked."""
     comps = [c for k, c in enumerate(d.components) if k not in slots]
     backs: list = []
     at = min(slots)
@@ -333,7 +399,7 @@ def splice(d: Diagram, slots, *loops) -> Diagram:
         comps.insert(at, fwd + back[::-1])
         backs += back
         at = len(comps)
-    return Diagram(_resign(comps, backs))
+    return Diagram._trusted(_resign(comps, backs))
 
 
 def reverse_component(d: Diagram, i: int) -> Diagram:
@@ -369,7 +435,7 @@ def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:
     n = d.n_components
     if sorted(perm) != list(range(1, n + 1)):
         raise PreconditionError(f"{perm} is not a permutation of 1..{n}")
-    return Diagram(tuple(d.components[j - 1] for j in perm))
+    return Diagram._trusted(tuple(d.components[j - 1] for j in perm))
 
 
 # -- flat canonical keys ----------------------------------------------

@@ -92,7 +92,7 @@ def kink_class_fingerprints(d: Diagram, i: int, depth: int,
     produce: the diagram with an unknot appended, and the diagram with
     component i replaced by an unknot and its reverse appended."""
     t = component_index(d, i)
-    with_circle = Diagram(d.components + ((),))
+    with_circle = Diagram._trusted(d.components + ((),))
     swapped = splice(d, (t,), ((), ()), ((), d.components[t]))
     return frozenset(
         fingerprint(x, depth, window) for x in (with_circle, swapped)
@@ -132,7 +132,9 @@ def _relabel(fp: tuple, where, n: int, depth: int, window: int) -> tuple:
     for a, k in enumerate(where):
         slot[k] = a
     pairs = {(e[1] - 1, e[2] - 1): e[3] for e in fp[1 + m:] if e[0] == "pair"}
-    circle = _knot_vector((), window)
+    # Looked up only when some slot is crossing-free, so that every hit
+    # counted saves work.
+    circle = _knot_vector((), window) if len(where) < n else None
     data: list = [("ncomp", n)]
     for k in range(n):
         a = slot[k]
@@ -202,7 +204,7 @@ def _canonical_fingerprint(comps: tuple, depth: int, window: int) -> tuple:
     if depth > 0:
         # Only a B-sum smooths, so only a component with self-crossings
         # needs the Diagram.
-        d = Diagram(comps) if any(len(g) == 1 for g in groups) else None
+        d = Diagram._trusted(comps) if any(len(g) == 1 for g in groups) else None
         for ci in range(n):
             buckets = restricted_flatsum_fingerprint(
                 _b_flat_of(d, sorted(groups[ci,])), d, ci + 1, depth - 1, window

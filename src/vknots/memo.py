@@ -11,14 +11,19 @@ of any diagrams share) and the rest.  Every table is registered in
 ``TABLES``: ``index_map``, ``type1_rows``, ``dwrithe``, ``span_table``,
 ``_knot_vector``, ``_canonical_fingerprint`` and ``_b_rows``.
 
+How keys hash: a ``Diagram`` hashes its components once and keeps the
+value; a passage tuple is hashed on every lookup, but passages are interned
+(``diagram.Passage``) and hash by identity, in C, so that costs no Python
+call per passage.  Equal keys therefore hold the same passage objects.
+
 One of them holds fingerprints.  ``_canonical_fingerprint`` computes one on
 a canonical component tuple: the crossing-free components dropped and the
 rest ordered by their first passage's ``(crossing, strand)``.
 ``fingerprint`` itself is not memoised: on every call it relabels that
 value for its Diagram's own order and crossing-free components
 (``fingerprint._relabel`` states the law).  A table keyed on the
-fingerprinted Diagram would hash every passage of each new Diagram and
-keep every Diagram it met, to save only a lookup and a relabel.
+fingerprinted Diagram would keep every Diagram it met, to save only a
+lookup and a relabel.
 
 A table lives for one unit of work: the command line empties them all with
 ``clear()`` when a command returns and after each ``batch`` row, so no

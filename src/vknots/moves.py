@@ -222,8 +222,8 @@ def _without(d: Diagram, strands) -> Diagram:
     """``d`` without the passages pos, pos+1 of each (comp, pos) strand."""
     gone = {(ci, i) for ci, pos in strands
             for i in (pos, (pos + 1) % len(d.components[ci]))}
-    return Diagram(tuple(tuple(p for i, p in enumerate(comp) if (ci, i) not in gone)
-                         for ci, comp in enumerate(d.components)))
+    return Diagram._trusted(tuple(tuple(p for i, p in enumerate(comp) if (ci, i) not in gone)
+                                  for ci, comp in enumerate(d.components)))
 
 
 def _with(d: Diagram, runs, stale: str) -> Diagram:
@@ -239,7 +239,7 @@ def _with(d: Diagram, runs, stale: str) -> Diagram:
     # of the reversed runs puts the later of two tied runs in first.
     for ci, gap, run in sorted(reversed(runs), key=lambda r: r[1], reverse=True):
         comps[ci] = comps[ci][:gap] + run + comps[ci][gap:]
-    return Diagram(tuple(comps))
+    return Diagram._trusted(tuple(comps))
 
 
 def apply_move(d: Diagram, m: MoveSite) -> Diagram:
@@ -268,7 +268,11 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
         for ci, pos in m.location:
             nxt = (pos + 1) % len(comps[ci])
             comps[ci][pos], comps[ci][nxt] = comps[ci][nxt], comps[ci][pos]
-        return Diagram(tuple(map(tuple, comps)))
+        return Diagram._trusted(tuple(map(tuple, comps)))
+
+    if m.kind in _INSERTS and m.variant not in _INSERTS[m.kind][1]:
+        # The result is built unchecked, so a variant no site has is refused.
+        raise PreconditionError(f"unknown {m.kind} variant {m.variant!r}")
 
     if m.kind == "R1-insert":
         (ci, gap), (sign, first) = m.location, m.variant

@@ -24,6 +24,7 @@ from vknots.invariants import fingerprint
 from vknots.invariants.fingerprint import (
     _canonical_fingerprint,
     _canonical_order,
+    _knot_vector,
     _pair_vector,
 )
 
@@ -167,3 +168,21 @@ def test_relabelled_copies_add_no_memo_entries():
     after = sum(t.cache_info().currsize for t in memo.TABLES)
     memo.clear()
     assert after == size
+
+
+def test_relabel_without_circles_reads_no_knot_vector():
+    """A relabel reads the crossing-free knot vector only for a
+    crossing-free slot, so the knot-vector table counts no hit that saves
+    no work."""
+    d = parse("O1+O2+U1+U2+O4+U5-;O3-U4+;U3-O5-")
+    a, b, c = d.components
+    memo.clear()
+    fingerprint(d, 1, 2)
+    before = _knot_vector.cache_info()
+    fingerprint(Diagram((c, a, b)), 1, 2)
+    after = _knot_vector.cache_info()
+    fingerprint(Diagram((c, a, (), b)), 1, 2)
+    circled = _knot_vector.cache_info()
+    memo.clear()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert circled.hits > after.hits

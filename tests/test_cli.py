@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -377,16 +378,52 @@ def test_arbitrary_text_maps_to_documented_exit_codes(text):
             assert serialize(parse(canon)) == canon
 
 
+def _src_env() -> dict:
+    """The environment of a subprocess that imports this checkout's vknots."""
+    src = str(Path(vknots.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_reader_closing_stdout_exits_141_without_traceback():
     # VK4's site list (about 590 kB) outgrows the pipe buffer, so a write
     # fails once the reader has gone.
-    src = str(Path(vknots.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.Popen([sys.executable, "-m", "vknots.cli", "move", "--list", "VK4"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     assert proc.stdout.readline() == b"0: R1-delete at (0, 8)\n"
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert b"Traceback" not in err, err.decode()
+
+
+# Runs the command line after making, when asked, the passages of crossing
+# ids 64..1 first.  Passages are interned and hash by identity, that is by
+# address, and these are then allocated in the reverse order, so any output
+# order read off passage hashes would change; PYTHONHASHSEED does not move
+# them.
+_PREINTERNED_MAIN = """\
+import sys
+from vknots.diagram import Passage
+if sys.argv[1] == "reversed":
+    for c in range(64, 0, -1):
+        for strand in "UO":
+            for sign in (-1, 1):
+                Passage(c, strand, sign)
+from vknots.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["move", "--list", "O1-U3+U4-U5+O3+U11-U12+;O2+U2+O4-O5+U1-O11-O12+"],
+     "e9a4b6dd1717f0a9b93813e2b6d21b50b0dedaeac76b6048905f4e0dfe5fb831"),
+    (["distinguish", "VK1", "VK2"],
+     "f06ac7c8b15bd6de4d50cb723e4bd736e3e9d64008cc314b8d831fbfa60fcbd9"),
+], ids=["move-list", "distinguish-VK1-VK2"])
+def test_output_does_not_follow_passage_addresses(argv, digest):
+    for mode in ("as-is", "reversed"):
+        proc = subprocess.run([sys.executable, "-c", _PREINTERNED_MAIN, mode, *argv],
+                              capture_output=True, env=_src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, mode

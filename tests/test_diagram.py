@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from vknots import (
     Diagram,
+    builtin_catalog,
     GaussCodeError,
     Passage,
     PreconditionError,
@@ -17,9 +18,16 @@ from vknots import (
     serialize,
 )
 from vknots.invariants import kink_class_fingerprints
+from vknots.moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
+from vknots.smoothing import smooth1, smooth2, smooth2_changed, smooth3
 from conftest import random_chord_diagram, random_knot
 
+import copy
+import importlib
 import random
+from dataclasses import FrozenInstanceError
+
+diagram_module = importlib.import_module("vknots.diagram")
 
 
 def test_parse_unknot(unknot):
@@ -306,11 +314,102 @@ def test_flat_key_separates(unknot, vtref):
 @given(st.integers(0, 10_000))
 def test_ops_preserve_validity(seed):
     d = random_knot(seed, 5)
-    # constructors validate; exercising them is the assertion
-    mirror(d)
+    # the builders skip validation: the validating constructor checks them
+    _assert_valid(mirror(d))
     for cid in d.crossing_ids():
-        crossing_change(d, cid)
-    reverse_component(d, 1)
+        _assert_valid(crossing_change(d, cid))
+    _assert_valid(reverse_component(d, 1))
+
+
+def _assert_valid(r):
+    """``r``, built unchecked, against the validating constructor on its
+    components: equal, and every per-crossing query agrees."""
+    oracle = Diagram(r.components)
+    assert r == oracle and hash(r) == hash(oracle)
+    assert r.crossing_ids() == oracle.crossing_ids()
+    assert r.n_crossings == oracle.n_crossings
+    for c in oracle.crossing_ids():
+        assert r.sign(c) == oracle.sign(c)
+        assert r.passage_positions(c) == oracle.passage_positions(c)
+        assert r.components_of(c) == oracle.components_of(c)
+        assert r.is_self_crossing(c) == oracle.is_self_crossing(c)
+    return r
+
+
+def _built(d, rng):
+    """Every unchecked builder applied to ``d``: the smoothings and the
+    crossing changes at each crossing, each component reversed, the
+    mirror, a reordering, and every searched move with a sample of the
+    insert moves."""
+    for c in d.crossing_ids():
+        yield crossing_change(d, c)
+        if d.is_self_crossing(c):
+            yield from (smooth1(d, c), smooth2(d, c), smooth2_changed(d, c))
+        else:
+            yield smooth3(d, c)
+    for i in range(1, d.n_components + 1):
+        yield reverse_component(d, i)
+    yield mirror(d)
+    yield reorder_components(d, rng.sample(range(1, d.n_components + 1), d.n_components))
+    sites = MoveSites(d)
+    searched = enumerate_moves(d, KINDS[:3])
+    picks = searched + [sites[i] for i in rng.sample(range(len(searched), len(sites)),
+                                                     min(8, len(sites) - len(searched)))]
+    for m in picks:
+        yield apply_move(d, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 6), st.integers(1, 3))
+def test_unchecked_builders_match_validating_constructor(seed, n_chords, n_components):
+    """Along a random walk (itself built by ``apply_move``), every result
+    of every unchecked builder, and of a builder applied to such a result,
+    equals the validated Diagram of its components and answers every
+    per-crossing query alike."""
+    rng = random.Random(seed)
+    d = random_chord_diagram(rng, n_chords, n_components)
+    for cur in walk(d, 8, seed, 9):
+        for r in _built(_assert_valid(cur), rng):
+            _assert_valid(r)
+            for c in r.crossing_ids()[:1]:
+                _assert_valid(crossing_change(r, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.sampled_from("OU"), st.sampled_from((1, -1))),
+       st.tuples(st.integers(1, 3), st.sampled_from("OU"), st.sampled_from((1, -1))))
+def test_passage_equality_is_field_equality(f, g):
+    p, q = Passage(*f), Passage(*g)
+    assert (p is q) == (p == q) == (f == g)
+    assert hash(p) == hash(q) or f != g
+    assert (p.crossing, p.strand, p.sign) == f
+
+
+def test_passage_is_a_frozen_interned_record():
+    p = Passage(1, "O", 1)
+    assert Passage(1, "O", 1) is p
+    assert repr(p) == "Passage(crossing=1, strand='O', sign=1)"
+    for name in ("crossing", "strand", "sign", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 2)
+    with pytest.raises(FrozenInstanceError):
+        del p.sign
+    assert (p.crossing, p.strand, p.sign) == (1, "O", 1)
+    assert copy.copy(p) is p and copy.deepcopy(p) is p
+
+
+def test_passage_pool_is_bounded():
+    """The pool keeps only passages a Diagram accepts: at most four per
+    crossing id, also after the catalog and a 200-step walk."""
+    for entry in builtin_catalog().values():
+        entry.diagram()
+    link = "O1-U3+U4-U5+O3+U11-U12+;O2+U2+O4-O5+U1-O11-O12+;0"
+    for _ in walk(parse(link), 200, 7, 12):
+        pass
+    Passage(0, "O", 1), Passage(1, "X", 1), Passage(1, "O", 2)  # never pooled
+    keys = list(diagram_module._POOL)
+    assert all(c >= 1 and s in "OU" and g in (1, -1) for c, s, g in keys)
+    assert len(keys) <= 4 * max(c for c, _, _ in keys)
 
 
 def test_flat_key_orbit_on_larger_random_diagrams():

@@ -112,6 +112,16 @@ def test_location_off_the_diagram_is_stale(code, site):
         apply_move(parse(code), site)
 
 
+@pytest.mark.parametrize("site", [
+    MoveSite("R1-insert", (0, 0), (2, "O")),
+    MoveSite("R1-insert", (0, 0), (1, "X")),
+    MoveSite("R2-insert", (0, 0, 0, 1), (1, "cross")),
+], ids=lambda m: f"{m.kind}{m.variant}")
+def test_unknown_insert_variant_is_rejected(site):
+    with pytest.raises(PreconditionError, match="unknown"):
+        apply_move(parse(_KNOT), site)
+
+
 def test_every_listed_site_applies():
     rng = random.Random(17)
     for _ in range(100):
