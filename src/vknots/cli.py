@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPoly
-from .moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
+from .moves import KINDS, MoveSites, apply_move, walk
 
 
 def _resolve(text: str) -> Diagram:
@@ -129,10 +129,8 @@ def _fmt_spec(name: str, params: dict) -> str:
     return f"{name}({','.join(str(params[p]) for p in spec.params)})"
 
 
-def _render_value(value, as_json: bool, text=None):
-    """``value`` as text, or as JSON data; ``text`` writes a diagram
-    (``serialize`` by default)."""
-    text = text or serialize
+def _render_value(value, as_json: bool):
+    """``value`` as text, or as JSON data."""
     if isinstance(value, LaurentPoly):
         return value.to_json_dict() if as_json else value.render()
     if isinstance(value, inv.LinkingNumbers):
@@ -142,25 +140,10 @@ def _render_value(value, as_json: bool, text=None):
     if isinstance(value, inv.FlatSum):
         if as_json:
             return {"terms": [
-                {"coef": c, "diagram": text(rep)} for _, c, rep in value.terms
+                {"coef": c, "diagram": serialize(rep)} for _, c, rep in value.terms
             ]}
-        return value.render(text)
+        return value.render()
     return value if as_json else str(value)
-
-
-def _texts():
-    """``serialize`` that writes each diagram object once: ``bsum(i)`` and
-    ``bflat(i)`` of one batch row share most of their representatives."""
-    seen: dict[int, tuple[Diagram, str]] = {}
-
-    def text(d: Diagram) -> str:
-        # The entry keeps d alive, so its id is not reused while it is kept.
-        hit = seen.get(id(d))
-        if hit is None:
-            hit = seen[id(d)] = (d, serialize(d))
-        return hit[1]
-
-    return text
 
 
 # -- subcommands --------------------------------------------------------
@@ -200,12 +183,12 @@ def cmd_smooth(args) -> int:
 def cmd_move(args) -> int:
     d = _resolve(args.input)
     kinds = KINDS if args.kinds is None else tuple(k.strip() for k in args.kinds.split(","))
+    sites = MoveSites(d, kinds)
     if args.apply is None:
-        for i, m in enumerate(enumerate_moves(d, kinds)):
+        for i, m in enumerate(sites):
             variant = f" variant={m.variant}" if m.variant else ""
             print(f"{i}: {m.kind} at {m.location}{variant}")
         return 0
-    sites = MoveSites(d, kinds)
     if not 0 <= args.apply < len(sites):
         raise PreconditionError(
             f"move index {args.apply} out of range (0..{len(sites) - 1})"
@@ -281,7 +264,6 @@ def cmd_batch(args) -> int:
     for entry in entries:
         d = entry.diagram()
         row = {"name": entry.name}
-        text = _texts()
         for name, params in _inv_list(args.inv, d, args):
             label = _fmt_spec(name, params)
             try:
@@ -289,7 +271,7 @@ def cmd_batch(args) -> int:
             except PreconditionError:
                 row[label] = None
                 continue
-            row[label] = _render_value(value, args.json, text)
+            row[label] = _render_value(value, args.json)
         results.append(row)
         memo.clear()
     if args.json:

@@ -21,8 +21,8 @@ A ``Passage`` is an interned record and checks nothing: ``Passage(c, s,
 g)`` returns the one object ``_POOL`` holds for those fields, so passages
 compare and hash by identity, in C, and a tuple of them hashes without a
 Python call per passage.  ``Diagram(...)`` checks every passage (strand,
-sign, positive id) and the pairing of each crossing's two passages, and
-builds its crossing table in that single validating pass
+sign, positive integer id) and the pairing of each crossing's two
+passages, and builds its crossing table in that single validating pass
 (``_crossing_table``): crossing id -> ``(over component, over position,
 under component, under position, sign)``, positions 0-based.  Every
 per-crossing query (``sign``, ``passage_positions``, ``components_of``,
@@ -30,8 +30,10 @@ per-crossing query (``sign``, ``passage_positions``, ``components_of``,
 of scanning the code.  The builders here and in ``moves``, whose results
 are valid by construction, make them with ``Diagram._trusted``: no check,
 and the same table built on the first per-crossing query, since many of
-their Diagrams are only hashed, keyed or serialized.  The hash of the
-components is computed once, on first use.
+their Diagrams are only hashed, keyed or serialized.  A Diagram keeps its
+hash and its text (``serialize``), each computed on first use.
+``require_knot`` and ``component_index`` are the component checks that
+the invariants make on their own input; their registry records no arity.
 
 Reversing a segment of a Gauss code flips the sign of every crossing with
 exactly one passage in it.  That rule is stated once, here, in
@@ -86,7 +88,9 @@ class Passage:
     for fields a Diagram accepts, so equal passages are identical and
     compare and hash by identity.  Fields no Diagram accepts give a fresh
     object, which is never pooled, so the pool holds at most four passages
-    per crossing id.  Assignment raises ``FrozenInstanceError``."""
+    per crossing id.  A bool id or sign is one of them: ``True == 1`` and
+    hashes alike, so a pooled ``True`` would stand for ``1`` in every later
+    passage.  Assignment raises ``FrozenInstanceError``."""
 
     __slots__ = ("crossing", "strand", "sign")
 
@@ -96,13 +100,14 @@ class Passage:
 
     def __new__(cls, crossing: int, strand: str, sign: int) -> Passage:
         p = _POOL.get((crossing, strand, sign))
-        if p is None:
+        # False equals 0, which no pooled passage holds; True equals 1.
+        if p is None or crossing is True or sign is True:
             p = object.__new__(cls)
             object.__setattr__(p, "crossing", crossing)
             object.__setattr__(p, "strand", strand)
             object.__setattr__(p, "sign", sign)
-            if strand in (OVER, UNDER) and sign in (1, -1) and isinstance(crossing, int) \
-                    and crossing >= 1:
+            if type(crossing) is int and type(sign) is int and strand in (OVER, UNDER) \
+                    and sign in (1, -1) and crossing >= 1:
                 _POOL[crossing, strand, sign] = p
         return p
 
@@ -136,6 +141,7 @@ class Diagram:
     components: tuple[Component, ...]
     _table: dict | None = field(default=None, init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._rows()  # the public constructor checks the code eagerly
@@ -149,6 +155,7 @@ class Diagram:
         object.__setattr__(d, "components", components)
         object.__setattr__(d, "_table", None)
         object.__setattr__(d, "_hash", None)
+        object.__setattr__(d, "_text", None)
         return d
 
     def __hash__(self) -> int:
@@ -156,6 +163,11 @@ class Diagram:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.components))
         return self._hash
+
+    def __reduce__(self):
+        # The components only: passages hash by identity, so a kept hash is
+        # only good in the process that computed it.
+        return Diagram, (self.components,)
 
     def _rows(self) -> dict[int, tuple[int, int, int, int, int]]:
         if self._table is None:
@@ -212,6 +224,8 @@ def _crossing_table(components: tuple[Component, ...]) -> dict:
     unpaired: dict[int, tuple[int, int, Passage]] = {}
     for ci, comp in enumerate(components):
         for pi, p in enumerate(comp):
+            if p.crossing is True or p.sign is True:  # True == 1, but is no id or sign
+                _reject(components)
             first = unpaired.pop(p.crossing, None)
             if first is None:
                 if p.crossing in table:
@@ -240,8 +254,10 @@ def _reject(components: tuple[Component, ...]) -> None:
         for p in comp:
             if p.strand not in (OVER, UNDER):
                 raise ValidationError(f"bad strand flag {p.strand!r}")
-            if p.sign not in (1, -1):
+            if p.sign not in (1, -1) or type(p.sign) is bool:
                 raise ValidationError(f"bad sign {p.sign!r}")
+            if type(p.crossing) is bool:
+                raise ValidationError(f"crossing id must be an integer, got {p.crossing!r}")
             if p.crossing < 1:
                 raise ValidationError(f"crossing id must be positive, got {p.crossing}")
             seen.setdefault(p.crossing, []).append(p)
@@ -300,10 +316,18 @@ def serialize(d: Diagram) -> str:
     then sign (``+`` < ``-``).  A valid Diagram meets each (strand, crossing
     id) at most once per component, so the least token is unique and the
     rotation that starts at it is the least: one pass per component, with
-    no rotations compared.
+    no rotations compared.  The text is written once per Diagram, on the
+    first call, and kept.
     """
+    if d._text is None:
+        object.__setattr__(d, "_text", _write(d.components))
+    return d._text
+
+
+def _write(components: tuple[Component, ...]) -> str:
+    """The text of ``serialize``, built from the components."""
     parts = []
-    for comp in d.components:
+    for comp in components:
         if not comp:
             parts.append("0")
             continue

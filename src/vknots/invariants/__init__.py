@@ -1,10 +1,13 @@
 """Invariant tower: writhes, polynomials, spans, B-sums, fingerprints.
 
 The registry at the bottom names every invariant the way the command line
-does and records its parameters and input arity, so batch tools can drive
-the whole tower uniformly.  For B-sum valued invariants the comparable
-form is the fingerprint bucket map, which is what actually transfers
-across move-equivalent diagrams (raw flat sums are representation-bound).
+does and records its parameters, so batch tools can drive the whole tower
+uniformly.  It records no arity: each invariant rejects a diagram with the
+wrong number of components itself (``require_knot``, the spans' check for
+two components, ``component_index``), in words that name the value asked
+for.  For B-sum valued invariants the comparable form is the fingerprint
+bucket map, which is what actually transfers across move-equivalent
+diagrams (raw flat sums are representation-bound).
 """
 
 from __future__ import annotations
@@ -77,38 +80,24 @@ __all__ = [
 class InvariantSpec:
     name: str
     params: tuple[str, ...]
-    arity: str  # "knot" | "link2" | "any"
     compute: Callable
 
 
 REGISTRY: dict[str, InvariantSpec] = {
-    "jn": InvariantSpec("jn", ("n",), "knot", writhe_n),
-    "djn": InvariantSpec("djn", ("n",), "knot", dwrithe),
-    "aip": InvariantSpec("aip", (), "knot", affine_index_poly),
-    "fpoly": InvariantSpec("fpoly", ("n",), "knot", f_poly),
-    "djnm": InvariantSpec("djnm", ("n", "m"), "knot", dwrithe_nm),
-    "fnmk": InvariantSpec("fnmk", ("n", "m", "k"), "knot", f_poly_nmk),
-    "lk": InvariantSpec("lk", (), "link2", linking_numbers),
-    "span": InvariantSpec("span", (), "link2", lambda d: linking_numbers(d).span),
-    "spannk": InvariantSpec("spannk", ("n", "k"), "link2", span_nk),
-    "fspannk": InvariantSpec("fspannk", ("n", "k"), "link2", fspan_nk),
-    "ftilde": InvariantSpec("ftilde", ("n", "k", "m"), "knot", tilde_f),
-    "bsum": InvariantSpec("bsum", ("i",), "any", b_sum),
-    "bflat": InvariantSpec("bflat", ("i",), "any", b_flat_sum),
+    "jn": InvariantSpec("jn", ("n",), writhe_n),
+    "djn": InvariantSpec("djn", ("n",), dwrithe),
+    "aip": InvariantSpec("aip", (), affine_index_poly),
+    "fpoly": InvariantSpec("fpoly", ("n",), f_poly),
+    "djnm": InvariantSpec("djnm", ("n", "m"), dwrithe_nm),
+    "fnmk": InvariantSpec("fnmk", ("n", "m", "k"), f_poly_nmk),
+    "lk": InvariantSpec("lk", (), linking_numbers),
+    "span": InvariantSpec("span", (), lambda d: linking_numbers(d).span),
+    "spannk": InvariantSpec("spannk", ("n", "k"), span_nk),
+    "fspannk": InvariantSpec("fspannk", ("n", "k"), fspan_nk),
+    "ftilde": InvariantSpec("ftilde", ("n", "k", "m"), tilde_f),
+    "bsum": InvariantSpec("bsum", ("i",), b_sum),
+    "bflat": InvariantSpec("bflat", ("i",), b_flat_sum),
 }
-
-
-def _check_arity(spec: InvariantSpec, d: Diagram) -> None:
-    if spec.arity == "knot" and d.n_components != 1:
-        raise PreconditionError(
-            f"invariant {spec.name!r} needs a knot diagram "
-            f"(got {d.n_components} components)"
-        )
-    if spec.arity == "link2" and d.n_components != 2:
-        raise PreconditionError(
-            f"invariant {spec.name!r} needs a 2-component link "
-            f"(got {d.n_components} components)"
-        )
 
 
 def compute_invariant(name: str, d: Diagram, params: dict):
@@ -117,7 +106,6 @@ def compute_invariant(name: str, d: Diagram, params: dict):
     if name not in REGISTRY:
         raise PreconditionError(f"unknown invariant {name!r}")
     spec = REGISTRY[name]
-    _check_arity(spec, d)
     missing = [p for p in spec.params if params.get(p) is None]
     if missing:
         raise PreconditionError(

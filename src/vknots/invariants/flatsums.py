@@ -37,11 +37,9 @@ class FlatSum:
     def coefficients(self) -> dict[str, int]:
         return {key: coef for key, coef, _ in self.terms}
 
-    def render(self, text=None) -> str:
-        """The sum as text, each representative written by ``text``
-        (``serialize`` by default)."""
-        text = text or serialize
-        return render_sum((coef, f"[{text(rep)}]") for _, coef, rep in self.terms)
+    def render(self) -> str:
+        """The sum as text, each representative written by ``serialize``."""
+        return render_sum((coef, f"[{serialize(rep)}]") for _, coef, rep in self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -99,10 +97,11 @@ def b_sum(d: Diagram, i: int) -> FlatSum:
 def _b_flat_of(d: Diagram, crossings) -> FlatSum:
     """The flat B-sum over the given self-crossings of one component, for
     the nested B-sums of fingerprints.  Not memoised and not built from
-    ``_b_rows``: the one fingerprint table, ``_canonical_fingerprint``,
-    asks each canonical component tuple and depth once, so these smoothings
-    are not asked for again, and routing them through the table (or through
-    two unmemoised halves) only slows ``distinguish``."""
+    ``_b_rows``.  These terms are asked for again (a kink class asks for
+    its parent's canonical tuple one depth down), but keeping them in
+    ``_b_rows`` is a trade: it speeds the depth-2 ``distinguish`` runs up
+    by about 9 % while the larger B-sum comparisons and the long ``verify``
+    walks take more time and up to a third more memory."""
     pairs = []
     for c in crossings:
         s = d.sign(c)

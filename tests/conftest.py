@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import vknots
 from vknots import Diagram, Passage, builtin_catalog, parse
 from vknots.moves import random_walk
 
@@ -87,3 +90,10 @@ def random_link2(seed: int, max_chords: int = 6) -> Diagram:
 def walk_corpus(base: Diagram, n: int, steps: int = 12,
                 max_crossings: int = 8, seed0: int = 0) -> list[Diagram]:
     return [random_walk(base, steps, seed0 + s, max_crossings) for s in range(n)]
+
+
+def src_env() -> dict:
+    """The environment of a subprocess that imports this checkout's vknots."""
+    src = str(Path(vknots.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

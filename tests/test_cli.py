@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +13,8 @@ from hypothesis import strategies as st
 import vknots
 from vknots import invariants, parse, serialize
 from vknots.cli import main
-from vknots.errors import GaussCodeError, ValidationError
+from vknots.errors import GaussCodeError, PreconditionError, ValidationError
+from conftest import src_env
 
 
 def run(capsys, *argv):
@@ -226,7 +226,8 @@ def test_distinguish_equivalent_inconclusive(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (("djn(0)", "K431", "VTREF"), "n > 0"),
-    (("aip", "HOPF", "UNLINK2"), "needs a knot diagram"),
+    (("aip", "HOPF", "UNLINK2"),
+     "the affine index polynomial is defined for knot diagrams only (got 2 components)"),
     (("bsum(3)", "K431", "VTREF"), "out of range"),
 ])
 def test_distinguish_with_nothing_comparable_is_a_precondition_error(
@@ -236,6 +237,44 @@ def test_distinguish_with_nothing_comparable_is_a_precondition_error(
     code, out, err = run(capsys, "distinguish", "--inv", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("precondition violated:") and message in err
+
+
+# The words each registry invariant uses for itself when it rejects a
+# diagram, and the component counts it is run on here: all that it does not
+# accept (bsum and bflat are asked for component 3).
+_OWN_WORDS = {
+    "jn": "the n-th writhe", "djn": "the difference writhe",
+    "aip": "the affine index polynomial", "fpoly": "the F-polynomial",
+    "djnm": "the (n,m)-difference writhe", "fnmk": "the generalized F-polynomial",
+    "ftilde": "the span polynomial",
+    "lk": "linking numbers", "span": "linking numbers",
+    "spannk": "the (n,k)-span", "fspannk": "the (n,k)-span",
+    "bsum": "component index 3", "bflat": "component index 3",
+}
+_REJECTED = {**{name: (2, 3) for name in ("jn", "djn", "aip", "fpoly", "djnm", "fnmk",
+                                          "ftilde")},
+             **{name: (1, 3) for name in ("lk", "span", "spannk", "fspannk")},
+             "bsum": (1, 2), "bflat": (1, 2)}
+_BY_COUNT = {1: "O1-U3-U4-U2+O3-O2+U1-O4-", 2: "O1-;U1-", 3: "O1-;U1-O2+;U2+"}
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name, counts in _REJECTED.items()
+                                     for n in counts])
+def test_every_invariant_rejects_a_component_count_it_does_not_accept(capsys, name, n):
+    """Each invariant checks its own input: a diagram with a component count
+    it does not accept is a precondition error, whose message names the
+    invariant asked for, and the command line exits 3 with no output."""
+    assert set(_REJECTED) == set(invariants.REGISTRY)
+    spec = invariants.REGISTRY[name]
+    params = {p: 3 if p == "i" else 1 for p in spec.params}
+    d = parse(_BY_COUNT[n])
+    with pytest.raises(PreconditionError) as exc:
+        invariants.compute_invariant(name, d, params)
+    message = str(exc.value)
+    assert _OWN_WORDS[name] in message or repr(name) in message, message
+    code, out, err = run(capsys, "invariant", "--inv", name, "--i", "3", _BY_COUNT[n])
+    assert (code, out) == (3, "")
+    assert err == f"precondition violated: {message}\n"
 
 
 def test_distinguish_skips_an_invariant_that_does_not_apply(capsys):
@@ -378,18 +417,11 @@ def test_arbitrary_text_maps_to_documented_exit_codes(text):
             assert serialize(parse(canon)) == canon
 
 
-def _src_env() -> dict:
-    """The environment of a subprocess that imports this checkout's vknots."""
-    src = str(Path(vknots.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-
-
 def test_reader_closing_stdout_exits_141_without_traceback():
     # VK4's site list (about 590 kB) outgrows the pipe buffer, so a write
     # fails once the reader has gone.
     proc = subprocess.Popen([sys.executable, "-m", "vknots.cli", "move", "--list", "VK4"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     assert proc.stdout.readline() == b"0: R1-delete at (0, 8)\n"
     proc.stdout.close()
     err = proc.stderr.read()
@@ -424,6 +456,6 @@ sys.exit(main(sys.argv[2:]))
 def test_output_does_not_follow_passage_addresses(argv, digest):
     for mode in ("as-is", "reversed"):
         proc = subprocess.run([sys.executable, "-c", _PREINTERNED_MAIN, mode, *argv],
-                              capture_output=True, env=_src_env(), timeout=300)
+                              capture_output=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, mode

@@ -20,11 +20,14 @@ from vknots import (
 from vknots.invariants import kink_class_fingerprints
 from vknots.moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
 from vknots.smoothing import smooth1, smooth2, smooth2_changed, smooth3
-from conftest import random_chord_diagram, random_knot
+from conftest import random_chord_diagram, random_knot, src_env
 
 import copy
 import importlib
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
 diagram_module = importlib.import_module("vknots.diagram")
@@ -410,6 +413,72 @@ def test_passage_pool_is_bounded():
     keys = list(diagram_module._POOL)
     assert all(c >= 1 and s in "OU" and g in (1, -1) for c, s, g in keys)
     assert len(keys) <= 4 * max(c for c, _, _ in keys)
+
+
+def test_bool_fields_make_no_pooled_passage():
+    """``True == 1`` and both hash alike, so a pooled ``Passage(True, "O",
+    1)`` would come back for every later ``Passage(1, "O", 1)``.  The pool
+    is process-wide, so this runs in a fresh interpreter."""
+    script = """
+from vknots import Diagram, Passage, ValidationError, serialize
+t = Passage(True, "O", 1)
+p = Passage(1, "O", 1)
+assert p is not t and repr(p) == "Passage(crossing=1, strand='O', sign=1)", repr(p)
+assert Passage(1, "O", True) is not p and Passage(1, "O", 1) is p
+assert serialize(Diagram(((Passage(1, "O", 1), Passage(1, "U", 1)),))) == "O1+U1+"
+for bad, message in (((t, Passage(1, "U", 1)), "crossing id must be an integer, got True"),
+                     ((p, Passage(1, "U", True)), "bad sign True"),
+                     ((Passage(True, "O", True), Passage(True, "U", True)), "bad sign True")):
+    try:
+        Diagram((bad,))
+    except ValidationError as exc:
+        assert str(exc) == message, (bad, exc)
+    else:
+        raise AssertionError(bad)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _observed(ds):
+    """What a caller sees of each Diagram in ``ds`` and of its copy and its
+    pickled round trip: the value, its hash and its ``repr``."""
+    return [(x, hash(x), repr(x)) for d in ds
+            for x in (d, copy.copy(d), pickle.loads(pickle.dumps(d)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 6), st.integers(1, 3))
+def test_serialize_writes_a_diagram_once_and_changes_nothing_else(seed, n_chords,
+                                                                  n_components):
+    """For parsed Diagrams and for every unchecked builder's result,
+    ``serialize`` gives the text of a fresh build, writes it once, and
+    leaves equality, hashing, ``repr``, copies and pickles as they were."""
+    rng = random.Random(seed)
+    d = random_chord_diagram(rng, n_chords, n_components)
+    ds = [parse(diagram_module._write(d.components)), *_built(d, rng)]
+    before = _observed(ds)
+    texts = [serialize(r) for r in ds]
+    for r, text in zip(ds, texts):
+        assert text == diagram_module._write(r.components) == serialize(Diagram(r.components))
+        assert serialize(r) is text
+    assert _observed(ds) == before
+    assert [serialize(x) for x, _, _ in before] == [t for t in texts for _ in range(3)]
+
+
+def test_a_pickled_diagram_hashes_as_a_fresh_one_in_another_process():
+    """Passages hash by identity, so a hash computed in one process means
+    nothing in another: a pickle carries the components only."""
+    code = "O1+U2+O3+U1+O2+U3+;O4-U4-"
+    script = ("import pickle, sys; from vknots import parse, serialize; d = parse(sys.argv[1]); "
+              "hash(d), serialize(d), d.sign(1); sys.stdout.buffer.write(pickle.dumps(d))")
+    proc = subprocess.run([sys.executable, "-c", script, code], capture_output=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    d, fresh = pickle.loads(proc.stdout), parse(code)
+    assert d == fresh and hash(d) == hash(fresh) and {fresh: 1}.get(d) == 1
+    assert serialize(d) == serialize(fresh) and d.sign(4) == -1
 
 
 def test_flat_key_orbit_on_larger_random_diagrams():
