@@ -20,9 +20,12 @@ All values here are immutable; every operation returns a new Diagram.
 A ``Passage`` is an interned record and checks nothing: ``Passage(c, s,
 g)`` returns the one object ``_POOL`` holds for those fields, so passages
 compare and hash by identity, in C, and a tuple of them hashes without a
-Python call per passage.  ``Diagram(...)`` checks every passage (strand,
-sign, positive integer id) and the pairing of each crossing's two
-passages, and builds its crossing table in that single validating pass
+Python call per passage.  The pool admits exactly the valid passages
+(``_valid``: an int id >= 1, strand ``O`` or ``U``, an int sign +-1), so a
+passage is valid iff it is the pooled one (in ``_POOLED``, by identity).
+``Diagram(...)`` stores its components as tuples, checks that every
+passage is pooled and the pairing of each crossing's two passages, and
+builds its crossing table in that single validating pass
 (``_crossing_table``): crossing id -> ``(over component, over position,
 under component, under position, sign)``, positions 0-based.  Every
 per-crossing query (``sign``, ``passage_positions``, ``components_of``,
@@ -78,6 +81,14 @@ UNDER = "U"
 
 
 _POOL: dict[tuple[int, str, int], Passage] = {}  # (crossing, strand, sign) -> its Passage
+_POOLED: set[Passage] = set()  # the values of _POOL, looked up by identity
+
+
+def _valid(crossing, strand, sign) -> bool:
+    """Whether a Diagram accepts a passage of these fields: the pool's
+    admission test."""
+    return (type(crossing) is int and crossing >= 1 and strand in (OVER, UNDER)
+            and type(sign) is int and sign in (1, -1))
 
 
 class Passage:
@@ -85,12 +96,13 @@ class Passage:
     checks its fields.
 
     Interned: ``Passage(c, s, g)`` returns the one object ``_POOL`` holds
-    for fields a Diagram accepts, so equal passages are identical and
-    compare and hash by identity.  Fields no Diagram accepts give a fresh
-    object, which is never pooled, so the pool holds at most four passages
-    per crossing id.  A bool id or sign is one of them: ``True == 1`` and
-    hashes alike, so a pooled ``True`` would stand for ``1`` in every later
-    passage.  Assignment raises ``FrozenInstanceError``."""
+    for fields a Diagram accepts (``_valid``), so equal passages are
+    identical and compare and hash by identity.  Fields no Diagram accepts
+    give a fresh object, which is never pooled, so the pool holds at most
+    four passages per crossing id.  An id or sign that is no int is one of
+    them, and gets no pool hit either: ``True == 1 == 1.0`` and all hash
+    alike, so a pooled passage must not stand for them, nor they for it.
+    Assignment raises ``FrozenInstanceError``."""
 
     __slots__ = ("crossing", "strand", "sign")
 
@@ -100,15 +112,17 @@ class Passage:
 
     def __new__(cls, crossing: int, strand: str, sign: int) -> Passage:
         p = _POOL.get((crossing, strand, sign))
-        # False equals 0, which no pooled passage holds; True equals 1.
-        if p is None or crossing is True or sign is True:
+        # A hit for an equal id or sign that is no int is refused.  Small ints
+        # and +-1 are shared objects, so the type is asked only of large ids.
+        if p is None or (p.sign is not sign and type(sign) is not int) \
+                or (p.crossing is not crossing and type(crossing) is not int):
             p = object.__new__(cls)
             object.__setattr__(p, "crossing", crossing)
             object.__setattr__(p, "strand", strand)
             object.__setattr__(p, "sign", sign)
-            if type(crossing) is int and type(sign) is int and strand in (OVER, UNDER) \
-                    and sign in (1, -1) and crossing >= 1:
+            if _valid(crossing, strand, sign):
                 _POOL[crossing, strand, sign] = p
+                _POOLED.add(p)
         return p
 
     def __setattr__(self, name, value):
@@ -144,7 +158,9 @@ class Diagram:
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._rows()  # the public constructor checks the code eagerly
+        # The public constructor stores tuples and checks the code eagerly.
+        object.__setattr__(self, "components", tuple(map(tuple, self.components)))
+        self._rows()
 
     @classmethod
     def _trusted(cls, components: tuple[Component, ...]) -> Diagram:
@@ -218,13 +234,14 @@ class Diagram:
 def _crossing_table(components: tuple[Component, ...]) -> dict:
     """The crossing table of a code, crossing id -> ``(over component,
     over position, under component, under position, sign)``, in one pass
-    that checks every passage and pairing; an invalid code raises its
-    ``ValidationError`` (``_reject``)."""
+    that checks every passage (it must be the pooled one) and pairing; an
+    invalid code raises its ``ValidationError`` (``_reject``)."""
     table: dict[int, tuple[int, int, int, int, int]] = {}
     unpaired: dict[int, tuple[int, int, Passage]] = {}
+    pooled = _POOLED
     for ci, comp in enumerate(components):
         for pi, p in enumerate(comp):
-            if p.crossing is True or p.sign is True:  # True == 1, but is no id or sign
+            if p not in pooled:
                 _reject(components)
             first = unpaired.pop(p.crossing, None)
             if first is None:
@@ -233,7 +250,7 @@ def _crossing_table(components: tuple[Component, ...]) -> dict:
                 unpaired[p.crossing] = (ci, pi, p)
                 continue
             ac, ai, a = first
-            if a.sign != p.sign or p.sign not in (1, -1) or p.crossing < 1:
+            if a.sign != p.sign:
                 _reject(components)
             if a.strand == OVER and p.strand == UNDER:
                 table[p.crossing] = (ac, ai, ci, pi, p.sign)
@@ -254,9 +271,9 @@ def _reject(components: tuple[Component, ...]) -> None:
         for p in comp:
             if p.strand not in (OVER, UNDER):
                 raise ValidationError(f"bad strand flag {p.strand!r}")
-            if p.sign not in (1, -1) or type(p.sign) is bool:
+            if type(p.sign) is not int or p.sign not in (1, -1):
                 raise ValidationError(f"bad sign {p.sign!r}")
-            if type(p.crossing) is bool:
+            if type(p.crossing) is not int:
                 raise ValidationError(f"crossing id must be an integer, got {p.crossing!r}")
             if p.crossing < 1:
                 raise ValidationError(f"crossing id must be positive, got {p.crossing}")

@@ -31,11 +31,11 @@ to the nested B-sum data inside fingerprints for the same reason.
 from __future__ import annotations
 
 from ..diagram import Diagram, component_index, crossing_groups, splice
-from ..labeling import index_walk
+from ..labeling import index_walk, writhe_totals
 from ..memo import memo
 from .flatsums import FlatSum, _b_flat_of
 from .spans import fspan_window, span_table
-from .writhes import difference, nm_difference, smoothed_writhe_table, writhe_totals
+from .writhes import difference, nm_difference, smoothed_writhe_table
 
 __all__ = [
     "fingerprint",

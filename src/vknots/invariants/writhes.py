@@ -7,12 +7,11 @@ difference writhes of type-1 smoothed diagrams to each crossing, giving
 the two- and three-variable polynomial families.
 
 Every writhe-type value is read from a writhe table, the signed crossing
-count per index that ``writhe_totals`` sums over the ``(crossing, sign,
-index)`` rows of a walk; a difference writhe is then one subtraction,
-``table[n] - table[-n]``.  Every index comes from ``labeling.index_walk``.
-A knot diagram's own crossings are read off the memoised ``index_map``,
-so the knot is walked once: ``writhe_n``, ``dwrithe``,
-``affine_index_poly``, ``dwrithe_nm`` and ``type1_rows`` read it there.
+count per index that ``labeling.writhe_totals`` sums over the ``(crossing,
+sign, index)`` rows of a walk; a difference writhe is then one
+subtraction, ``table[n] - table[-n]``.  Every index comes from
+``labeling.index_walk``; a knot diagram's own rows and writhe table are
+walked and summed once, in the memoised ``labeling.knot_rows``.
 The polynomials read every type-1 smoothing of a knot from one memoised
 row set, ``type1_rows(d)``: per crossing its sign, index, segment pair,
 and that smoothing's walk and writhe table, with no smoothed Diagram
@@ -35,7 +34,7 @@ from typing import Mapping
 
 from ..diagram import OVER, UNDER, Diagram, rejoin, require_knot
 from ..errors import PreconditionError
-from ..labeling import index_map, index_walk
+from ..labeling import index_walk, knot_rows, writhe_totals
 from ..laurent import LaurentPoly
 from ..memo import memo
 from ..smoothing import knot_segments, smooth1, type1_segments
@@ -71,25 +70,6 @@ def crossing_poly(variables: tuple[str, ...], rows) -> LaurentPoly:
     return LaurentPoly.from_dict(variables, acc)
 
 
-def writhe_totals(walk) -> dict[int, int]:
-    """Signed crossing count per index of an ``index_walk``; indices
-    without crossings are absent."""
-    acc: dict[int, int] = {}
-    for _, s, i in walk:
-        acc[i] = acc.get(i, 0) + s
-    return acc
-
-
-def _index_rows(d: Diagram) -> list:
-    """``(crossing, sign, index)`` of every crossing of a knot diagram, in
-    the order of its over passages, with the indices of the memoised
-    ``index_map``."""
-    # Signs read off the over passages: cheaper than a d.sign() per crossing.
-    inds = index_map(d)
-    return [(p.crossing, p.sign, inds[p.crossing])
-            for p in d.components[0] if p.strand == OVER]
-
-
 def difference(table: Mapping[int, int], n: int) -> int:
     """``table[n] - table[-n]``, absent entries counting as 0."""
     return table.get(n, 0) - table.get(-n, 0)
@@ -100,7 +80,7 @@ def writhe_n(d: Diagram, n: int) -> int:
     require_knot(d, "the n-th writhe")
     if n == 0:
         raise PreconditionError("the n-th writhe requires n != 0")
-    return writhe_totals(_index_rows(d)).get(n, 0)
+    return knot_rows(d.components[0])[1].get(n, 0)
 
 
 @memo
@@ -109,13 +89,14 @@ def dwrithe(d: Diagram, n: int) -> int:
     require_knot(d, "the difference writhe")
     if n <= 0:
         raise PreconditionError("the difference writhe requires n > 0")
-    return difference(writhe_totals(_index_rows(d)), n)
+    return difference(knot_rows(d.components[0])[1], n)
 
 
 def affine_index_poly(d: Diagram) -> LaurentPoly:
     """Sum of sign(c) * (t^index(c) - 1) over classical crossings."""
     require_knot(d, "the affine index polynomial")
-    return crossing_poly(AIP_VARS, ((s, ind, (), ()) for _, s, ind in _index_rows(d)))
+    rows, _ = knot_rows(d.components[0])
+    return crossing_poly(AIP_VARS, ((s, ind, (), ()) for _, s, ind in rows))
 
 
 def smoothed_dwrithe(d: Diagram, crossing: int, n: int) -> int:
@@ -130,7 +111,7 @@ def type1_rows(d: Diagram) -> tuple:
     type-1 segment pair, ``walk`` that smoothing's ``index_walk`` and
     ``table`` its writhe table, as a tuple and a read-only view."""
     rows = []
-    for c, s, ind in sorted(_index_rows(d)):
+    for c, s, ind in knot_rows(d.components[0])[0]:
         segments = type1_segments(d, c)
         walk = tuple(index_walk(*segments))
         rows.append((s, ind, segments, walk, MappingProxyType(writhe_totals(walk))))
@@ -202,7 +183,7 @@ def dwrithe_nm(d: Diagram, n: int, m: int) -> int:
     require_knot(d, "the (n,m)-difference writhe")
     if n <= 0:
         raise PreconditionError("the (n,m)-difference writhe requires n > 0")
-    return _dwrithe_nm(d.components[0], _index_rows(d), n, m)
+    return _dwrithe_nm(d.components[0], knot_rows(d.components[0])[0], n, m)
 
 
 def f_poly_nmk(d: Diagram, n: int, m: int, k: int) -> LaurentPoly:

@@ -22,7 +22,8 @@ the index is independent of that choice.
 ``index_walk`` is the one walk: along a knot's passages, or along a
 smoothing's segment pair with no smoothed Diagram built
 (``smoothing.type1_segments``, or ``type3_segments`` of two components'
-passages).  ``index_map`` walks a knot's own component.
+passages), and ``writhe_totals`` sums its rows per index.  ``knot_rows``
+memoises a knot's one labelling: its rows and their writhe table.
 
 ``type3_tables`` reads the type-3 smoothings of every crossing joining
 two components with no walk per smoothing.  The smoothing at a joining
@@ -54,7 +55,7 @@ from .memo import memo
 
 __all__ = [
     "ArcLabeling", "arc_labeling", "crossing_sign", "crossing_index", "index_map",
-    "index_walk", "type3_tables",
+    "index_walk", "knot_rows", "type3_tables", "writhe_totals",
 ]
 
 
@@ -143,6 +144,24 @@ def index_walk(fwd, back=()) -> list[tuple[int, int, int]]:
     return out
 
 
+def writhe_totals(walk) -> dict[int, int]:
+    """Signed crossing count per index of an ``index_walk``; indices
+    without crossings are absent."""
+    acc: dict[int, int] = {}
+    for _, s, i in walk:
+        acc[i] = acc.get(i, 0) + s
+    return acc
+
+
+@memo
+def knot_rows(comp: tuple) -> tuple:
+    """``(rows, table)`` of the knot with passages ``comp``: its
+    ``(crossing, sign, index)`` rows in crossing-id order and their writhe
+    table, as a tuple and a read-only view (every caller shares them)."""
+    rows = tuple(sorted(index_walk(comp)))
+    return rows, MappingProxyType(writhe_totals(rows))
+
+
 def _o_labels(prefix, i: int) -> tuple[list[int], int]:
     """Labels of a component walked from just after position ``i``, and
     the label on leaving it."""
@@ -207,15 +226,11 @@ def type3_tables(first, second) -> list:
     return out
 
 
-@memo
 def index_map(d: Diagram) -> Mapping[int, int]:
     """Index of every crossing of a one-component diagram, in crossing-id
-    order, as a read-only view (the memoised value is shared by every
-    caller)."""
+    order, as a read-only view of its ``knot_rows``."""
     require_knot(d, "crossing index")
-    return MappingProxyType(
-        dict(sorted((c, ind) for c, _, ind in index_walk(d.components[0])))
-    )
+    return MappingProxyType({c: ind for c, _, ind in knot_rows(d.components[0])[0]})
 
 
 def crossing_index(d: Diagram, crossing: int) -> int:

@@ -1,14 +1,14 @@
 """The one memoisation policy of the invariant layers.
 
 The invariants are built recursively from the three smoothings, so one
-command asks for the same index map, type-1 smoothing rows, difference
+command asks for the same knot rows, type-1 smoothing rows, difference
 writhe or span rows many times.  Every function that caches such
 per-diagram results does so through ``memo``: a C ``functools.lru_cache``
 (hits stay cheap) bounded by ``MAXSIZE`` and keyed on its arguments: a
-hashable, immutable ``Diagram`` (for ``span_table``, ``_knot_vector`` and
-``_canonical_fingerprint``, passage tuples, which equal cuts or smoothings
-of any diagrams share) and the rest.  Every table is registered in
-``TABLES``: ``index_map``, ``type1_rows``, ``dwrithe``, ``span_table``,
+hashable, immutable ``Diagram`` (passage tuples for ``knot_rows``,
+``span_table``, ``_knot_vector`` and ``_canonical_fingerprint``: equal
+cuts or smoothings of any diagrams share them) and the rest.  Every table
+is in ``TABLES``: ``knot_rows``, ``type1_rows``, ``dwrithe``, ``span_table``,
 ``_knot_vector``, ``_canonical_fingerprint`` and ``_b_rows``.
 
 How keys hash: a ``Diagram`` hashes its components once and keeps the

@@ -11,13 +11,14 @@ from vknots import (
     ValidationError,
     crossing_change,
     flat_key,
+    memo,
     mirror,
     parse,
     reorder_components,
     reverse_component,
     serialize,
 )
-from vknots.invariants import kink_class_fingerprints
+from vknots.invariants import compute_invariant, kink_class_fingerprints
 from vknots.moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
 from vknots.smoothing import smooth1, smooth2, smooth2_changed, smooth3
 from conftest import random_chord_diagram, random_knot, src_env
@@ -439,6 +440,51 @@ for bad, message in (((t, Passage(1, "U", 1)), "crossing id must be an integer, 
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_non_int_fields_make_no_pooled_passage():
+    """``1.0 == 1`` and ``2.0 == 2`` hash alike too: a passage with a float
+    id or sign is rejected by ``Diagram(...)``, never pooled, and gets no
+    pool hit.  The pool is process-wide, so this runs in a fresh
+    interpreter."""
+    script = """
+from vknots import Diagram, Passage, ValidationError, parse, serialize
+for bad, message in (
+        ((Passage(5, "O", 1.0), Passage(5, "U", 1.0)), "bad sign 1.0"),
+        ((Passage(1.5, "O", 1), Passage(1.5, "U", 1)), "crossing id must be an integer, got 1.5"),
+        ((Passage(3.0, "O", 1), Passage(3, "U", 1)), "crossing id must be an integer, got 3.0")):
+    try:
+        Diagram((bad,))
+    except ValidationError as exc:
+        assert str(exc) == message, (bad, exc)
+    else:
+        raise AssertionError(bad)
+before = Passage(2.0, "O", 1)
+p = Passage(2, "O", 1)
+after = Passage(2.0, "O", 1)
+assert p is not before and p is not after and Passage(2, "O", 1) is p
+assert type(p.crossing) is int and type(after.crossing) is float
+assert Passage(5, "O", 1) is not Passage(5, "O", 1.0)
+assert serialize(parse("O5+U5+")) == "O5+U5+" and parse("O2+U2+").components[0][0] is p
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("wrap", [list, lambda comps: tuple(map(list, comps))],
+                         ids=["outer list", "inner lists"])
+def test_diagram_stores_tuples(k431, wrap):
+    """A Diagram built from lists holds tuples, so it equals and hashes like
+    its parse and every memoised invariant can key on it."""
+    d = Diagram(wrap(k431.components))
+    assert type(d.components) is tuple and all(type(c) is tuple for c in d.components)
+    assert d == k431 and hash(d) == hash(k431)
+    asked = (("aip", {}), ("djn", {"n": 1}), ("fpoly", {"n": 1}))
+    memo.clear()
+    values = [compute_invariant(name, d, params) for name, params in asked]
+    memo.clear()
+    assert values == [compute_invariant(name, k431, params) for name, params in asked]
 
 
 def _observed(ds):

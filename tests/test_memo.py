@@ -16,7 +16,7 @@ from vknots.invariants.fingerprint import _canonical_fingerprint, _knot_vector
 from vknots.invariants.flatsums import _b_rows
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import type1_rows
-from vknots.labeling import index_map
+from vknots.labeling import index_map, knot_rows
 
 from conftest import random_chord_diagram
 
@@ -29,7 +29,7 @@ def _totals():
 
 def test_every_memoised_function_is_registered():
     assert set(memo.TABLES) == {
-        index_map, type1_rows, dwrithe, span_table, _knot_vector,
+        knot_rows, type1_rows, dwrithe, span_table, _knot_vector,
         _canonical_fingerprint, _b_rows,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
@@ -50,7 +50,9 @@ def test_memoised_tables_are_read_only(k431, hopf, kishino):
     rows = span_table(*link.components)
     assert rows == ((1, {-1: -1, 1: -1}), (-1, {-1: 0}))
     assert all(isinstance(row, tuple) for row in rows)
-    tables = [index_map(k431)] + [table for _, table in rows]
+    knot, knot_table = knot_rows(k431.components[0])
+    assert isinstance(knot, tuple) and all(isinstance(row, tuple) for row in knot)
+    tables = [index_map(k431), knot_table] + [table for _, table in rows]
     for table in tables:
         with pytest.raises(TypeError):
             table[1] = 7
@@ -83,11 +85,11 @@ def test_builtin_catalog_is_read_only():
 
 def test_clear_keeps_cumulative_counts(vtref):
     memo.clear()
-    before = index_map.cache_info()
-    index_map(vtref)
-    index_map(vtref)
+    before = knot_rows.cache_info()
+    knot_rows(vtref.components[0])
+    knot_rows(vtref.components[0])
     memo.clear()
-    after = index_map.cache_info()
+    after = knot_rows.cache_info()
     assert after.currsize == 0
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 

@@ -6,8 +6,9 @@ prefix-label array per component; each row is checked against the one
 walk, ``index_walk`` over the smoothing's ``type3_segments``.
 ``type1_rows`` and the type-2 tuples are checked against ``smooth1`` and
 ``smooth2``, and the three polynomials against their formulas evaluated
-on smoothed Diagrams.  A batch row of the knot battery labels the knot's
-own crossings once."""
+on smoothed Diagrams.  ``knot_rows`` is checked against the one walk over
+a knot's own passages; a batch row of the knot battery, and the knot
+invariants of a verify step, label the knot's own crossings once."""
 
 import random
 import sys
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 
 from vknots import Diagram, Passage, memo, parse, serialize
 from vknots.cli import main
-from vknots.invariants import dwrithe, dwrithe_nm, f_poly, f_poly_nmk, fspan_nk, tilde_f
+from vknots.invariants import (
+    compute_invariant,
+    dwrithe,
+    dwrithe_nm,
+    f_poly,
+    f_poly_nmk,
+    fspan_nk,
+    tilde_f,
+)
 from vknots.invariants.spans import FTILDE_VARS, span_table
 from vknots.invariants.writhes import (
     FNMK_VARS,
@@ -28,7 +37,7 @@ from vknots.invariants.writhes import (
     type1_rows,
     writhe_totals,
 )
-from vknots.labeling import index_map, index_walk
+from vknots.labeling import index_map, index_walk, knot_rows
 from vknots.smoothing import smooth1, smooth2, type1_segments, type2_components, type3_segments
 
 from conftest import random_chord_diagram
@@ -158,8 +167,8 @@ def _record(monkeypatch, real, calls):
 
 def test_dwrithe_nm_walks_only_smoothings(monkeypatch, k431):
     """``dwrithe_nm`` reads the knot's own crossings off the memoised
-    ``index_map`` and walks only the smoothings it sums; m = 0 smooths
-    nothing."""
+    ``knot_rows`` (filled here through ``index_map``) and walks only the
+    smoothings it sums; m = 0 smooths nothing."""
     memo.clear()
     index_map(k431)
     walks: list = []
@@ -177,7 +186,7 @@ def test_dwrithe_nm_walks_only_smoothings(monkeypatch, k431):
 
 def test_battery_row_walks_the_knot_once(monkeypatch, capsys, tmp_path, k431):
     """A batch row of the knot battery labels the knot's own crossings
-    once, in ``index_map``: every other value reads them off it, or off
+    once, in ``knot_rows``: every other value reads them off it, or off
     the smoothings in ``type1_rows``."""
     cat = tmp_path / "cat.tsv"
     cat.write_text(f"K431\t{serialize(k431)}\n", encoding="utf-8")
@@ -189,3 +198,27 @@ def test_battery_row_walks_the_knot_once(monkeypatch, capsys, tmp_path, k431):
     assert "djnm(1,1)=-4" in capsys.readouterr().out
     assert [args for args in calls if args[0] == k431.components[0]] \
         == [(k431.components[0],)]
+
+
+def test_knot_invariants_label_and_sum_the_knot_once(monkeypatch, k431):
+    """The knot invariants of a verify step read one ``knot_rows`` entry:
+    the knot is walked once and its writhe table summed once."""
+    sums: list = []
+    _record(monkeypatch, writhe_totals, sums)
+    memo.clear()
+    misses = knot_rows.cache_info().misses
+    for name, params in (("jn", {"n": -1}), ("aip", {}), ("djn", {"n": 1}),
+                         ("djn", {"n": 2}), ("djn", {"n": 3})):
+        compute_invariant(name, k431, params)
+    assert knot_rows.cache_info().misses - misses == 1
+    rows = tuple(sorted(index_walk(k431.components[0])))
+    assert [args for args in sums if args == (rows,)] == [(rows,)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 12))
+def test_knot_rows_are_the_sorted_walk_and_its_writhe_table(seed, n_chords):
+    comp = random_chord_diagram(random.Random(seed), n_chords, 1).components[0]
+    rows, table = knot_rows(comp)
+    assert list(rows) == sorted(index_walk(comp))
+    assert dict(table) == writhe_totals(rows)
