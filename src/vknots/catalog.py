@@ -12,13 +12,13 @@ with '#' starting a comment line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
 from .diagram import Diagram, parse
-from .errors import GaussCodeError
+from .errors import GaussCodeError, ValidationError
 
 __all__ = ["CatalogEntry", "load_catalog", "builtin_catalog", "lookup"]
 
@@ -28,9 +28,13 @@ class CatalogEntry:
     name: str
     code: str
     tags: tuple[str, ...] = ()
+    _diagram: Diagram = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_diagram", parse(self.code))
 
     def diagram(self) -> Diagram:
-        return parse(self.code)
+        return self._diagram
 
 
 def parse_catalog(text: str, source: str = "<catalog>") -> list[CatalogEntry]:
@@ -44,8 +48,11 @@ def parse_catalog(text: str, source: str = "<catalog>") -> list[CatalogEntry]:
             raise GaussCodeError(f"{source}:{lineno}: expected name<TAB>code")
         name, code = parts[0].strip(), parts[1].strip()
         tags = tuple(t.strip() for t in parts[2].split(",")) if len(parts) > 2 else ()
-        parse(code)  # validate eagerly so bad catalogs fail loudly
-        entries.append(CatalogEntry(name, code, tags))
+        try:
+            entries.append(CatalogEntry(name, code, tags))
+        except (GaussCodeError, ValidationError) as exc:  # name the line, as above
+            exc.args = (f"{source}:{lineno}: {exc}",)
+            raise
     return entries
 
 

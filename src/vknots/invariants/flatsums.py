@@ -6,14 +6,15 @@ key.  Keys merge exactly when the canonical flat keys coincide; proving
 that two distinct keys are (or are not) the same flat class is out of
 scope here and delegated to fingerprints.
 
-The terms of a B-sum and of its crossing-change form are memoised once
-per diagram, component and half in ``_b_rows`` (see ``vknots.memo``):
-``bflat(i)`` reuses every smoothing and flat key of ``bsum(i)``.
+``_terms`` builds a self-crossing's B-sum term and its crossing-changed
+twin as one pair, memoised per diagram and component in ``_b_rows`` (see
+``vknots.memo``) and unmemoised for the fingerprints' nested flat B-sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from ..diagram import Diagram, component_index, crossing_groups, flat_key, serialize
@@ -69,49 +70,39 @@ def self_crossings(d: Diagram, i: int) -> tuple[int, ...]:
     return tuple(sorted(crossing_groups(d.components).get((component_index(d, i),), ())))
 
 
-@memo
-def _b_rows(d: Diagram, i: int, changed: bool) -> tuple:
-    """One ``(representative, coefficient, flat key)`` row per self-crossing
-    c of component i, in crossing-id order: the type-2 smoothing at c with
-    c's sign, or, when ``changed``, the type-2 smoothing of ``d`` with c
-    changed, with the sign negated.
+def _terms(d: Diagram, crossings) -> tuple:
+    """For each crossing c, in the order given, the pair of
+    ``(representative, coefficient, flat key)`` rows: the type-2 smoothing
+    at c with c's sign, and the type-2 smoothing of ``d`` with c changed,
+    with the sign negated."""
+    out = []
+    for c in crossings:
+        s, rep, twin = d.sign(c), smooth2(d, c), smooth2_changed(d, c)
+        out.append(((rep, s, flat_key(rep)), (twin, -s, flat_key(twin))))
+    return tuple(out)
 
-    ``b_sum`` reads the unchanged half and ``b_flat_sum`` both, so a batch
-    row or a battery that asks for ``bsum(i)`` and then ``bflat(i)``
-    smooths and keys each term once.
-    """
-    smooth, sign = (smooth2_changed, -1) if changed else (smooth2, 1)
-    rows = []
-    for c in self_crossings(d, i):
-        rep = smooth(d, c)
-        rows.append((rep, sign * d.sign(c), flat_key(rep)))
-    return tuple(rows)
+
+@memo
+def _b_rows(d: Diagram, i: int) -> tuple:
+    """``_terms`` over the self-crossings of component i, in crossing-id
+    order: ``b_sum`` reads the first row of each pair, ``b_flat_sum`` both."""
+    return _terms(d, self_crossings(d, i))
 
 
 def b_sum(d: Diagram, i: int) -> FlatSum:
     """Signed sum of flat classes of type-2 smoothings at the self-crossings
     of component i; a virtual link invariant."""
-    return _reduce(_b_rows(d, i, False))
-
-
-def _b_flat_of(d: Diagram, crossings) -> FlatSum:
-    """The flat B-sum over the given self-crossings of one component, for
-    the nested B-sums of fingerprints.  Not memoised and not built from
-    ``_b_rows``.  These terms are asked for again (a kink class asks for
-    its parent's canonical tuple one depth down), but keeping them in
-    ``_b_rows`` is a trade: it speeds the depth-2 ``distinguish`` runs up
-    by about 9 % while the larger B-sum comparisons and the long ``verify``
-    walks take more time and up to a third more memory."""
-    pairs = []
-    for c in crossings:
-        s = d.sign(c)
-        pairs.append((smooth2(d, c), s))
-        pairs.append((smooth2_changed(d, c), -s))
-    return flat_sum(pairs)
+    return _reduce(term for term, _ in _b_rows(d, i))
 
 
 def b_flat_sum(d: Diagram, i: int) -> FlatSum:
     """Crossing-change invariant version: each smoothing is paired against
     the smoothing taken after changing that crossing."""
-    return _reduce(row for pair in zip(_b_rows(d, i, False), _b_rows(d, i, True))
-                   for row in pair)
+    return _reduce(chain.from_iterable(_b_rows(d, i)))
+
+
+def _b_flat_of(d: Diagram, crossings) -> FlatSum:
+    """The flat B-sum over the given self-crossings of one component, for
+    the nested B-sums of fingerprints: ``_terms`` with no memo, since
+    keeping them in ``_b_rows`` slows the larger runs and grows them."""
+    return _reduce(chain.from_iterable(_terms(d, crossings)))

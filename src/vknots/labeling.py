@@ -45,12 +45,13 @@ crossing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .diagram import OVER, Diagram, one_sided, require_knot
-from .errors import InconsistentLabelingError, PreconditionError
+from .errors import InconsistentLabelingError
 from .memo import memo
 
 __all__ = [
@@ -234,8 +235,8 @@ def index_map(d: Diagram) -> Mapping[int, int]:
 
 
 def crossing_index(d: Diagram, crossing: int) -> int:
-    """ind(c) of a crossing of a knot diagram."""
-    m = index_map(d)
-    if crossing not in m:
-        raise PreconditionError(f"unknown crossing id {crossing}")
-    return m[crossing]
+    """ind(c) of a crossing of a knot diagram, bisected from ``knot_rows``."""
+    require_knot(d, "crossing index")
+    d.sign(crossing)  # an unknown id raises PreconditionError
+    rows = knot_rows(d.components[0])[0]
+    return rows[bisect_left(rows, (crossing,))][2]

@@ -180,23 +180,18 @@ def _insert_parts(d: Diagram, kinds) -> list:
             for k in _INSERTS if k in kinds]
 
 
-def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
-    """All applicable delete/R3 sites and the spanning set of insert sites,
-    of the requested kinds only, in ``KINDS`` order."""
-    unknown = [k for k in kinds if k not in KINDS]
-    if unknown:
-        raise PreconditionError(f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
-                                f"expected some of {', '.join(KINDS)}")
-    return _searched_sites(d, kinds) + [site(i) for n, site in _insert_parts(d, kinds)
-                                        for i in range(n)]
-
-
 class MoveSites:
-    """``enumerate_moves(d, kinds)`` by index: the delete and R3 sites are
-    listed, an insert site is built only when it is indexed."""
+    """All applicable delete/R3 sites and the spanning set of insert sites,
+    of the requested kinds only, in ``KINDS`` order, by index: the delete
+    and R3 sites are listed, an insert site is built only when it is
+    indexed."""
 
     def __init__(self, d: Diagram, kinds=KINDS):
-        listed = enumerate_moves(d, [k for k in kinds if k not in _INSERTS])
+        unknown = [k for k in kinds if k not in KINDS]
+        if unknown:
+            raise PreconditionError(f"unknown move kind(s) {', '.join(map(repr, unknown))}; "
+                                    f"expected some of {', '.join(KINDS)}")
+        listed = _searched_sites(d, kinds)
         self._parts = [(len(listed), listed.__getitem__)] + _insert_parts(d, kinds)
 
     def __len__(self) -> int:
@@ -208,6 +203,11 @@ class MoveSites:
                 return site(i)
             i -= n
         raise IndexError("move index out of range")
+
+
+def enumerate_moves(d: Diagram, kinds=KINDS) -> list[MoveSite]:
+    """``MoveSites(d, kinds)`` as a list."""
+    return list(MoveSites(d, kinds))
 
 
 # -- application --------------------------------------------------------

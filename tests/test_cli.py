@@ -333,6 +333,33 @@ def test_batch_missing_catalog_exit_2(capsys, tmp_path):
     assert err.startswith("input error: cannot read catalog")
 
 
+@pytest.mark.parametrize("code, error, message", [
+    ("O1+U2+", ValidationError, "crossing 1 occurs 1 time(s), expected 2"),
+    ("O1+X", GaussCodeError, "expected passage, found 'X' (at position 3)"),
+])
+def test_batch_bad_code_names_its_line_exit_2(capsys, tmp_path, code, error, message):
+    cat = tmp_path / "bad.tsv"
+    cat.write_text(f"# header\nok\tO1+U1+\nbad\t{code}\n", encoding="utf-8")
+    with pytest.raises(error) as exc:
+        vknots.load_catalog(str(cat))
+    assert str(exc.value) == f"{cat}:3: {message}"
+    assert run(capsys, "batch", str(cat)) == (2, "", f"input error: {cat}:3: {message}\n")
+
+
+def test_catalog_parses_each_code_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(vknots.catalog, "parse", counted)
+    entries = vknots.catalog.parse_catalog("a\tO1+U1+\n\n# note\nb\tO1+O2+U1+U2+\tx\n")
+    assert calls == ["O1+U1+", "O1+O2+U1+U2+"]
+    assert [serialize(e.diagram()) for e in entries] == calls
+    assert vknots.lookup("K431").diagram() is vknots.lookup("K431").diagram()
+
+
 def test_unreadable_input_file_exit_2(capsys, tmp_path):
     f = tmp_path / "knot.gauss"
     f.write_bytes(b"\xff\xfe")

@@ -21,6 +21,7 @@ from vknots.invariants import (
     self_crossings,
 )
 from vknots.invariants.fingerprint import _sublink
+from vknots.invariants.flatsums import _b_rows
 from vknots.smoothing import smooth2, smooth2_changed
 from conftest import oracle_sublink, random_chord_diagram, random_knot, walk_corpus
 
@@ -166,6 +167,27 @@ def test_batch_row_smooths_and_keys_each_b_sum_term_once(monkeypatch, capsys,
         assert Counter(args for args, _ in calls) == Counter(selfs), name
     reps = [rep for calls in built.values() for _, rep in calls]
     assert sorted(map(id, keyed)) == sorted(map(id, reps))
+
+
+def test_b_sums_of_a_component_share_one_memo_entry():
+    """``_b_rows`` holds both terms of each self-crossing in one entry, so
+    ``bsum(i)`` and then ``bflat(i)`` miss once per component."""
+    link = parse("O1+O2-U1+U2-O5+U6-;O3-U4+U3-O4+U5+O6-")
+    memo.clear()
+    before = _b_rows.cache_info()
+    for i in (1, 2):
+        b_sum(link, i)
+        b_flat_sum(link, i)
+    after = _b_rows.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+    assert after.currsize == 2
+
+
+def test_nested_flat_b_sums_stay_out_of_the_memo(kishino):
+    """The fingerprints' nested flat B-sums build their pairs unmemoised."""
+    memo.clear()
+    [(_, _, buckets)] = [e for e in fingerprint(kishino, 2) if e[0] == "bflat"]
+    assert buckets and _b_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vknots import (
     InconsistentLabelingError,
@@ -9,9 +13,11 @@ from vknots import (
     mirror,
     parse,
 )
+from vknots import labeling
+from vknots.invariants.weights import i_function, index_weight, sign_weight
 from vknots.labeling import index_map
 from vknots.moves import apply_move, enumerate_moves
-from conftest import random_knot
+from conftest import random_chord_diagram, random_knot
 
 
 def test_unknot_single_arc(unknot):
@@ -98,3 +104,21 @@ def test_index_map_is_read_only(vtref):
             m[c] = 7
     assert writhe_n(vtref, 1) == 1
     assert dict(index_map(vtref)) == {1: 1, 2: -1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 12))
+def test_crossing_index_reads_the_index_map(seed, n_chords):
+    d = random_chord_diagram(random.Random(seed), n_chords)
+    assert {c: crossing_index(d, c) for c in d.crossing_ids()} == dict(index_map(d))
+
+
+def test_i_function_builds_no_index_map(monkeypatch):
+    """The ``ind`` weight looks each crossing up in the knot's rows, so an
+    I-function makes no pass over every crossing per crossing."""
+    d = random_chord_diagram(random.Random(5), 28)
+    want = sum(d.sign(c) for c in d.crossing_ids() if index_map(d)[c] == 1)
+    calls = []
+    monkeypatch.setattr(labeling, "index_map", lambda *a: calls.append(a))
+    assert i_function(d, sign_weight(), index_weight(), 1) == want
+    assert d.n_crossings == 28 and calls == []
