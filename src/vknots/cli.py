@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import invariants as inv
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import LaurentPoly
-from .moves import KINDS, MoveSites, apply_move, walk
+from .moves import DEFAULT_MAX_CROSSINGS, KINDS, MoveSites, apply_move, walk
 
 
 def _resolve(text: str) -> Diagram:
@@ -58,12 +59,11 @@ def _parse_inv_spec(token: str, args) -> tuple[str, dict]:
         if not rest.endswith(")"):
             raise PreconditionError(f"malformed invariant spec {token!r}")
         inner = rest[:-1]
-        try:
-            values = [int(v) for v in inner.split(",")] if inner else []
-        except ValueError:
-            raise PreconditionError(
-                f"parameters of {token!r} must be integers"
-            ) from None
+        values = [v.strip() for v in inner.split(",")] if inner else []
+        # ASCII digits only: int() alone also reads "1_0" and non-ASCII digits.
+        if not all(re.fullmatch(r"[+-]?[0-9]+", v) for v in values):
+            raise PreconditionError(f"parameters of {token!r} must be integers")
+        values = list(map(int, values))
     spec = inv.REGISTRY.get(name)
     if spec is None:
         raise PreconditionError(f"unknown invariant {name!r}")
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inv", default="all")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-crossings", type=int, default=12)
+    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
     p.add_argument("input")
     common(p, params=True, window=True, depth=True)
     p.set_defaults(fn=cmd_verify)

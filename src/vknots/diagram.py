@@ -20,21 +20,21 @@ All values here are immutable; every operation returns a new Diagram.
 A ``Passage`` is an interned record and checks nothing: ``Passage(c, s,
 g)`` returns the one object ``_POOL`` holds for those fields, so passages
 compare and hash by identity, in C, and a tuple of them hashes without a
-Python call per passage.  The pool admits exactly the valid passages
-(``_valid``: an int id >= 1, strand ``O`` or ``U``, an int sign +-1), so a
-passage is valid iff it is the pooled one (in ``_POOLED``, by identity).
-``Diagram(...)`` stores its components as tuples, checks that every
-passage is pooled and the pairing of each crossing's two passages, and
-builds its crossing table in that single validating pass
-(``_crossing_table``): crossing id -> ``(over component, over position,
-under component, under position, sign)``, positions 0-based.  Every
-per-crossing query (``sign``, ``passage_positions``, ``components_of``,
-``is_self_crossing``, ``crossing_ids``) reads that table in O(1) instead
-of scanning the code.  The builders here and in ``moves``, whose results
-are valid by construction, make them with ``Diagram._trusted``: no check,
-and the same table built on the first per-crossing query, since many of
-their Diagrams are only hashed, keyed or serialized.  A Diagram keeps its
-hash and its text (``serialize``), each computed on first use.
+Python call per passage.  The passage rule (an int id >= 1, strand ``O``
+or ``U``, an int sign +-1) is stated once, in ``_passage_error``: the pool
+admits exactly the passages it finds no fault in, so a passage is valid
+iff it is the pooled one (in ``_POOLED``, by identity).  ``Diagram(...)``
+stores its components as tuples and runs the one validator, ``_check``:
+every element must be a pooled ``Passage``, and each crossing one over
+and one under passage of one sign.  The builders here and in ``moves``,
+whose results are valid by construction, use ``Diagram._trusted``, which
+checks nothing.  Every Diagram builds its crossing table
+(``_crossing_table``) on its first per-crossing query, since many are
+only hashed, keyed or serialized: crossing id -> ``(over component, over
+position, under component, under position, sign)``, positions 0-based,
+read in O(1) by ``sign``, ``passage_positions``, ``components_of``,
+``is_self_crossing`` and ``crossing_ids``.  A Diagram keeps its hash and
+its text (``serialize``), each computed on first use.
 ``require_knot`` and ``component_index`` are the component checks that
 the invariants make on their own input; their registry records no arity.
 
@@ -84,23 +84,30 @@ _POOL: dict[tuple[int, str, int], Passage] = {}  # (crossing, strand, sign) -> i
 _POOLED: set[Passage] = set()  # the values of _POOL, looked up by identity
 
 
-def _valid(crossing, strand, sign) -> bool:
-    """Whether a Diagram accepts a passage of these fields: the pool's
-    admission test."""
-    return (type(crossing) is int and crossing >= 1 and strand in (OVER, UNDER)
-            and type(sign) is int and sign in (1, -1))
+def _passage_error(crossing, strand, sign) -> str | None:
+    """Why a Diagram refuses a passage of these fields, or None if it
+    accepts them: the pool's admission test and every passage message."""
+    if strand not in (OVER, UNDER):
+        return f"bad strand flag {strand!r}"
+    if type(sign) is not int or sign not in (1, -1):
+        return f"bad sign {sign!r}"
+    if type(crossing) is not int:
+        return f"crossing id must be an integer, got {crossing!r}"
+    if crossing < 1:
+        return f"crossing id must be positive, got {crossing}"
+    return None
 
 
 class Passage:
     """One visit of a strand to a classical crossing; ``Diagram(...)``
-    checks its fields.
+    checks it.
 
     Interned: ``Passage(c, s, g)`` returns the one object ``_POOL`` holds
-    for fields a Diagram accepts (``_valid``), so equal passages are
-    identical and compare and hash by identity.  Fields no Diagram accepts
-    give a fresh object, which is never pooled, so the pool holds at most
-    four passages per crossing id.  An id or sign that is no int is one of
-    them, and gets no pool hit either: ``True == 1 == 1.0`` and all hash
+    for fields in which ``_passage_error`` finds no fault, so equal
+    passages are identical and compare and hash by identity.  Faulty
+    fields give a fresh object, which is never pooled, so the pool holds at
+    most four passages per crossing id.  An id or sign that is no int is
+    faulty, and gets no pool hit either: ``True == 1 == 1.0`` and all hash
     alike, so a pooled passage must not stand for them, nor they for it.
     Assignment raises ``FrozenInstanceError``."""
 
@@ -120,7 +127,7 @@ class Passage:
             object.__setattr__(p, "crossing", crossing)
             object.__setattr__(p, "strand", strand)
             object.__setattr__(p, "sign", sign)
-            if _valid(crossing, strand, sign):
+            if _passage_error(crossing, strand, sign) is None:
                 _POOL[crossing, strand, sign] = p
                 _POOLED.add(p)
         return p
@@ -158,15 +165,15 @@ class Diagram:
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The public constructor stores tuples and checks the code eagerly.
+        # The public constructor stores tuples and checks the code.
         object.__setattr__(self, "components", tuple(map(tuple, self.components)))
-        self._rows()
+        _check(self.components)
 
     @classmethod
     def _trusted(cls, components: tuple[Component, ...]) -> Diagram:
         """A Diagram of ``components``, which the caller built valid: not
-        checked, and its crossing table built on the first per-crossing
-        query."""
+        checked.  Like every Diagram, it builds its crossing table on its
+        first per-crossing query."""
         d = object.__new__(cls)
         object.__setattr__(d, "components", components)
         object.__setattr__(d, "_table", None)
@@ -232,51 +239,35 @@ class Diagram:
 
 
 def _crossing_table(components: tuple[Component, ...]) -> dict:
-    """The crossing table of a code, crossing id -> ``(over component,
-    over position, under component, under position, sign)``, in one pass
-    that checks every passage (it must be the pooled one) and pairing; an
-    invalid code raises its ``ValidationError`` (``_reject``)."""
+    """The crossing table of a valid code, crossing id -> ``(over
+    component, over position, under component, under position, sign)``:
+    each crossing's two passages paired in one pass, with no check."""
     table: dict[int, tuple[int, int, int, int, int]] = {}
-    unpaired: dict[int, tuple[int, int, Passage]] = {}
-    pooled = _POOLED
+    first: dict[int, tuple[int, int]] = {}  # crossing -> place of its first passage
     for ci, comp in enumerate(components):
         for pi, p in enumerate(comp):
-            if p not in pooled:
-                _reject(components)
-            first = unpaired.pop(p.crossing, None)
-            if first is None:
-                if p.crossing in table:
-                    _reject(components)
-                unpaired[p.crossing] = (ci, pi, p)
-                continue
-            ac, ai, a = first
-            if a.sign != p.sign:
-                _reject(components)
-            if a.strand == OVER and p.strand == UNDER:
-                table[p.crossing] = (ac, ai, ci, pi, p.sign)
-            elif a.strand == UNDER and p.strand == OVER:
-                table[p.crossing] = (ci, pi, ac, ai, p.sign)
+            at = first.pop(p.crossing, None)
+            if at is None:
+                first[p.crossing] = ci, pi
+            elif p.strand == OVER:
+                table[p.crossing] = (ci, pi, *at, p.sign)
             else:
-                _reject(components)
-    if unpaired:
-        _reject(components)
+                table[p.crossing] = (*at, ci, pi, p.sign)
     return table
 
 
-def _reject(components: tuple[Component, ...]) -> None:
-    """Raise the ValidationError of an invalid code: the first malformed
-    passage along the code, else the faulty crossing met first."""
+def _check(components: tuple[Component, ...]) -> None:
+    """Raise the ValidationError of an invalid code: the first element
+    along the code that is not a pooled passage, else the faulty crossing
+    met first."""
     seen: dict[int, list[Passage]] = {}
+    pooled = _POOLED
     for comp in components:
         for p in comp:
-            if p.strand not in (OVER, UNDER):
-                raise ValidationError(f"bad strand flag {p.strand!r}")
-            if type(p.sign) is not int or p.sign not in (1, -1):
-                raise ValidationError(f"bad sign {p.sign!r}")
-            if type(p.crossing) is not int:
-                raise ValidationError(f"crossing id must be an integer, got {p.crossing!r}")
-            if p.crossing < 1:
-                raise ValidationError(f"crossing id must be positive, got {p.crossing}")
+            if type(p) is not Passage:
+                raise ValidationError(f"not a passage: {p!r}")
+            if p not in pooled:
+                raise ValidationError(_passage_error(p.crossing, p.strand, p.sign))
             seen.setdefault(p.crossing, []).append(p)
     for cid, passages in seen.items():
         if len(passages) != 2:
@@ -292,7 +283,7 @@ def _reject(components: tuple[Component, ...]) -> None:
 
 # -- parsing and serialization ----------------------------------------
 
-_PASSAGE_RE = re.compile(r"([OU])(\d+)([+-])")
+_PASSAGE_RE = re.compile(r"([OU])([0-9]+)([+-])")
 
 
 def parse(text: str) -> Diagram:
@@ -380,6 +371,8 @@ def crossing_change(d: Diagram, crossing: int) -> Diagram:
 
 def component_index(d: Diagram, i: int) -> int:
     """The 0-based slot of component ``i`` (1-based) of ``d``."""
+    if type(i) is not int:
+        raise PreconditionError(f"component index must be an integer, got {i!r}")
     if not 1 <= i <= d.n_components:
         raise PreconditionError(f"component index {i} out of range 1..{d.n_components}")
     return i - 1
@@ -474,7 +467,7 @@ def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:
     """Permute components; ``perm[k]`` is the 1-based old index placed at slot k."""
     perm = tuple(perm)
     n = d.n_components
-    if sorted(perm) != list(range(1, n + 1)):
+    if any(type(j) is not int for j in perm) or sorted(perm) != list(range(1, n + 1)):
         raise PreconditionError(f"{perm} is not a permutation of 1..{n}")
     return Diagram._trusted(tuple(d.components[j - 1] for j in perm))
 

@@ -46,8 +46,9 @@ from .diagram import OVER, UNDER, Diagram, Passage
 from .errors import PreconditionError, StaleMoveError
 
 __all__ = ["MoveSite", "MoveSites", "enumerate_moves", "apply_move", "walk", "random_walk",
-           "kinds_within", "KINDS"]
+           "kinds_within", "KINDS", "DEFAULT_MAX_CROSSINGS"]
 
+DEFAULT_MAX_CROSSINGS = 12  # the crossing cap of a walk
 KINDS = ("R1-delete", "R2-delete", "R3", "R1-insert", "R2-insert")
 _CROSSING_DELTA = {"R1-insert": 1, "R2-insert": 2, "R1-delete": -1, "R2-delete": -2, "R3": 0}
 
@@ -291,7 +292,7 @@ def apply_move(d: Diagram, m: MoveSite) -> Diagram:
     raise PreconditionError(f"unknown move kind {m.kind!r}")
 
 
-def walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12):
+def walk(d: Diagram, steps: int, seed: int, max_crossings: int = DEFAULT_MAX_CROSSINGS):
     """Deterministic random move sequence: an iterator over the diagram after each step,
     which stops early if no move fits under ``max_crossings``; bad arguments raise here."""
     if steps < 0:
@@ -311,7 +312,8 @@ def _walk(d: Diagram, steps: int, rng: random.Random, max_crossings: int):
         yield cur
 
 
-def random_walk(d: Diagram, steps: int, seed: int, max_crossings: int = 12) -> Diagram:
+def random_walk(d: Diagram, steps: int, seed: int,
+                max_crossings: int = DEFAULT_MAX_CROSSINGS) -> Diagram:
     """The last diagram of ``walk``: where the move sequence ends."""
     cur = d
     for cur in walk(d, steps, seed, max_crossings):

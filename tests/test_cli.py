@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vknots
-from vknots import invariants, parse, serialize
+from vknots import invariants, moves, parse, serialize
 from vknots.cli import main
 from vknots.errors import GaussCodeError, PreconditionError, ValidationError
 from conftest import src_env
@@ -312,6 +313,38 @@ def test_invariant_bad_parameters_exit_3(capsys, spec):
     code, _, err = run(capsys, "invariant", "--inv", spec, "VTREF")
     assert code == 3
     assert "must be integers" in err
+
+
+@pytest.mark.parametrize("code", ["O\u0661+U\u0661+", "O\uff11+U\uff11+"],
+                         ids=["arabic-indic", "fullwidth"])
+def test_parse_non_ascii_digits_exit_2(capsys, code):
+    code_, out, err = run(capsys, "parse", code)
+    assert (code_, out) == (2, "")
+    assert err.startswith("input error: expected passage")
+
+
+@pytest.mark.parametrize("spec", ["djn(\u0661)", "djn(1_0)", "djn(\uff12)", "djnm(1,+-1)"])
+def test_invariant_non_ascii_or_underscored_parameters_exit_3(capsys, spec):
+    code, out, err = run(capsys, "invariant", "--inv", spec, "VTREF")
+    assert (code, out, err) == (3, "", f"precondition violated: parameters of {spec!r} "
+                                       "must be integers\n")
+
+
+@pytest.mark.parametrize("spec, flags", [
+    ("jn(-2)", ["--inv", "jn", "--n", "-2"]),
+    ("djnm(1,-1)", ["--inv", "djnm", "--n", "1", "--m", "-1"]),
+    ("djn( 2 )", ["--inv", "djn", "--n", "2"]),
+    ("djn(+2)", ["--inv", "djn", "--n", "2"]),
+])
+def test_inline_parameters_match_flags(capsys, spec, flags):
+    assert run(capsys, "invariant", "--inv", spec, "K431") \
+        == run(capsys, "invariant", *flags, "K431")
+
+
+def test_verify_cap_defaults_to_the_walk_cap():
+    args = vknots.cli.build_parser().parse_args(["verify", "--seed", "1", "VTREF"])
+    assert args.max_crossings == moves.DEFAULT_MAX_CROSSINGS == 12
+    assert inspect.signature(moves.walk).parameters["max_crossings"].default == 12
 
 
 @pytest.mark.parametrize("spec,message", [

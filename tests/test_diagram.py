@@ -18,11 +18,17 @@ from vknots import (
     reverse_component,
     serialize,
 )
-from vknots.invariants import compute_invariant, kink_class_fingerprints
+from vknots.invariants import (
+    b_sum,
+    compute_invariant,
+    kink_class_fingerprints,
+    restricted_flatsum_fingerprint,
+)
 from vknots.moves import KINDS, MoveSites, apply_move, enumerate_moves, walk
 from vknots.smoothing import smooth1, smooth2, smooth2_changed, smooth3
-from conftest import random_chord_diagram, random_knot, src_env
+from conftest import named, random_chord_diagram, random_knot, src_env
 
+import collections
 import copy
 import importlib
 import pickle
@@ -105,6 +111,58 @@ def test_diagram_checks_each_passage(first, second, message):
     with pytest.raises(ValidationError) as exc:
         Diagram(((first, second),))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [
+    collections.namedtuple("Record", "crossing strand sign")(1, "O", 1),
+    "O1+",
+    (1, "O", 1),
+    [1, "O", 1],
+], ids=["record", "string", "tuple", "list"])
+def test_diagram_refuses_what_is_not_a_passage(bad):
+    """Only a pooled ``Passage`` is a passage: a record with valid fields
+    is refused like a string, a tuple or a list, wherever it stands."""
+    for comps in (((bad, Passage(1, "U", 1)),), ((Passage(1, "U", 1), bad),)):
+        with pytest.raises(ValidationError) as exc:
+            Diagram(comps)
+        assert str(exc.value) == f"not a passage: {bad!r}"
+
+
+_CROSSINGS = (1, 2, True, False, 1.0, 3.0, 0, -1, "1", None)
+_STRANDS = ("O", "U", "X", "", 1, True, None)
+_SIGNS = (1, -1, True, False, 1.0, -1.0, 0, 2, "+", None)
+
+
+def test_passage_rule_is_stated_once():
+    """Over a grid of fields, a passage is pooled exactly when
+    ``_passage_error`` finds no fault, and a one-crossing Diagram of those
+    fields raises exactly that fault."""
+    for c in _CROSSINGS:
+        for s in _STRANDS:
+            for g in _SIGNS:
+                error = diagram_module._passage_error(c, s, g)
+                assert (Passage(c, s, g) is Passage(c, s, g)) == (error is None), (c, s, g)
+                comps = ((Passage(c, s, g), Passage(c, "U" if s == "O" else "O", g)),)
+                if error is None:
+                    assert Diagram(comps).sign(c) == g
+                    continue
+                with pytest.raises(ValidationError) as exc:
+                    Diagram(comps)
+                assert str(exc.value) == error, (c, s, g)
+
+
+@pytest.mark.parametrize("code", ["0", "O1+U1+", "O1+O2+U1+U2+;0", "O1-;U1-"])
+def test_crossing_table_waits_for_a_query(code):
+    """Parsing checks a code but builds no crossing table; the first
+    per-crossing query builds it, and later queries read the same one."""
+    d = parse(code)
+    assert d._table is None
+    d.crossing_ids()
+    table = d._table
+    assert table is not None
+    for c in d.crossing_ids():
+        d.sign(c)
+    assert d._table is table
 
 
 def _scan(d):
@@ -267,6 +325,25 @@ def test_reorder_components(hopf):
         reorder_components(hopf, (1, 1))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_component_arguments_must_be_ints(hopf, kishino, bad):
+    """A component index or permutation entry that is no int, bools
+    included, is a precondition error naming the value, not a
+    ``TypeError`` and not a silent match of ``1.0 == 1``."""
+    for perm in ([2.0, 1.0], [2, bad]):
+        with pytest.raises(PreconditionError) as exc:
+            reorder_components(hopf, perm)
+        assert str(exc.value) == f"{tuple(perm)} is not a permutation of 1..2"
+    message = f"component index must be an integer, got {bad!r}"
+    with pytest.raises(PreconditionError) as exc:
+        b_sum(kishino, bad)
+    assert str(exc.value) == message
+    vk3 = named("VK3")
+    with pytest.raises(PreconditionError) as exc:
+        restricted_flatsum_fingerprint(b_sum(vk3, 1), vk3, bad, 1, 2)
+    assert str(exc.value) == message
+
+
 def test_reorder_roundtrip():
     rng = random.Random(7)
     for _ in range(20):
@@ -414,6 +491,24 @@ def test_passage_pool_is_bounded():
     keys = list(diagram_module._POOL)
     assert all(c >= 1 and s in "OU" and g in (1, -1) for c, s, g in keys)
     assert len(keys) <= 4 * max(c for c, _, _ in keys)
+
+
+def test_a_large_crossing_id_is_pooled():
+    """An id past any machine word is an int like any other: pooled,
+    accepted and queried.  The pool is process-wide and
+    ``test_passage_pool_is_bounded`` bounds it by its largest id, so this
+    runs in a fresh interpreter."""
+    script = """
+from vknots import Diagram, Passage, serialize
+from vknots.diagram import _passage_error
+c = 2**70
+assert _passage_error(c, "O", 1) is None and Passage(c, "O", 1) is Passage(c, "O", 1)
+d = Diagram(((Passage(c, "O", -1), Passage(c, "U", -1)),))
+assert d.sign(c) == -1 and serialize(d) == f"O{c}-U{c}-"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_bool_fields_make_no_pooled_passage():
