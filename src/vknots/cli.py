@@ -51,6 +51,15 @@ def _resolve(text: str) -> Diagram:
     return parse(text)
 
 
+def integer(text: str) -> int:
+    """The integer that ``text`` writes as ``[+-]?[0-9]+``, for inline
+    parameters and integer flags alike; ValueError for anything else, as
+    ``int()`` alone also reads ``1_0``, spaces and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_inv_spec(token: str, args) -> tuple[str, dict]:
     token = token.strip()
     name, paren, rest = token.partition("(")
@@ -59,11 +68,10 @@ def _parse_inv_spec(token: str, args) -> tuple[str, dict]:
         if not rest.endswith(")"):
             raise PreconditionError(f"malformed invariant spec {token!r}")
         inner = rest[:-1]
-        values = [v.strip() for v in inner.split(",")] if inner else []
-        # ASCII digits only: int() alone also reads "1_0" and non-ASCII digits.
-        if not all(re.fullmatch(r"[+-]?[0-9]+", v) for v in values):
-            raise PreconditionError(f"parameters of {token!r} must be integers")
-        values = list(map(int, values))
+        try:
+            values = [integer(v.strip()) for v in inner.split(",")] if inner else []
+        except ValueError:
+            raise PreconditionError(f"parameters of {token!r} must be integers") from None
     spec = inv.REGISTRY.get(name)
     if spec is None:
         raise PreconditionError(f"unknown invariant {name!r}")
@@ -300,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", help="JSON output")
         if params:
             for name in ("n", "m", "k", "i"):
-                p.add_argument(f"--{name}", type=int, default=1)
+                p.add_argument(f"--{name}", type=integer, default=1)
         if window:
-            p.add_argument("--window", type=int, default=inv.DEFAULT_WINDOW)
+            p.add_argument("--window", type=integer, default=inv.DEFAULT_WINDOW)
         if depth:
-            p.add_argument("--depth", type=int, default=inv.DEFAULT_DEPTH)
+            p.add_argument("--depth", type=integer, default=inv.DEFAULT_DEPTH)
 
     p = sub.add_parser("parse", help="validate and canonicalize a Gauss code")
     p.add_argument("input")
@@ -318,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("smooth", help="apply a smoothing at a crossing")
-    p.add_argument("--type", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--at", type=int, required=True, metavar="ID")
+    p.add_argument("--type", type=integer, choices=(1, 2, 3), required=True)
+    p.add_argument("--at", type=integer, required=True, metavar="ID")
     p.add_argument("input")
     p.set_defaults(fn=cmd_smooth)
 
     p = sub.add_parser("move", help="list or apply Reidemeister move sites")
     p.add_argument("--list", action="store_true", help="list the sites (the default)")
-    p.add_argument("--apply", type=int, default=None, metavar="INDEX")
+    p.add_argument("--apply", type=integer, default=None, metavar="INDEX")
     p.add_argument("--kinds", default=None,
                    help="comma list from: " + ",".join(KINDS))
     p.add_argument("input")
@@ -333,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="random-walk invariance check")
     p.add_argument("--inv", default="all")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    p.add_argument("--steps", type=integer, default=50)
+    p.add_argument("--seed", type=integer, required=True)
+    p.add_argument("--max-crossings", type=integer, default=DEFAULT_MAX_CROSSINGS)
     p.add_argument("input")
     common(p, params=True, window=True, depth=True)
     p.set_defaults(fn=cmd_verify)

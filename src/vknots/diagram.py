@@ -23,7 +23,14 @@ compare and hash by identity, in C, and a tuple of them hashes without a
 Python call per passage.  The passage rule (an int id >= 1, strand ``O``
 or ``U``, an int sign +-1) is stated once, in ``_passage_error``: the pool
 admits exactly the passages it finds no fault in, so a passage is valid
-iff it is the pooled one (in ``_POOLED``, by identity).  ``Diagram(...)``
+iff it is the pooled one (in ``_POOLED``, by identity).  The four
+passages of a crossing id are pooled together (``_pool``), each with the
+fields that depend on it alone: ``over``, its flat mark, its token text,
+and its ``negated`` and ``changed`` twins.  The kernels read these
+fields instead of building or formatting passages: ``_resign`` takes
+``negated``, ``mirror`` and ``crossing_change`` take ``changed``,
+``serialize`` joins token texts and ``flat_key`` reads the marks.
+``Diagram(...)``
 stores its components as tuples and runs the one validator, ``_check``:
 every element must be a pooled ``Passage``, and each crossing one over
 and one under passage of one sign.  The builders here and in ``moves``,
@@ -104,32 +111,52 @@ class Passage:
 
     Interned: ``Passage(c, s, g)`` returns the one object ``_POOL`` holds
     for fields in which ``_passage_error`` finds no fault, so equal
-    passages are identical and compare and hash by identity.  Faulty
-    fields give a fresh object, which is never pooled, so the pool holds at
-    most four passages per crossing id.  An id or sign that is no int is
-    faulty, and gets no pool hit either: ``True == 1 == 1.0`` and all hash
-    alike, so a pooled passage must not stand for them, nor they for it.
-    Assignment raises ``FrozenInstanceError``."""
+    passages are identical and compare and hash by identity.  The four
+    passages of a crossing id (over or under, sign +-1) are pooled
+    together, on the first call for any of them, and each carries the
+    fields that depend only on it, computed then:
 
-    __slots__ = ("crossing", "strand", "sign")
+    * ``over``: the strand is ``O``;
+    * ``mark``: its flat mark, 1 when ``(sign > 0) == over``, else 2: the
+      sign, negated on the under strand, which a crossing change keeps;
+    * ``text``: its token, ``<strand><crossing><+|->`` (``token()``);
+    * ``negated``: the pooled passage with the opposite sign;
+    * ``changed``: the pooled passage of the changed crossing, the other
+      strand with the opposite sign.
+
+    Faulty fields (unhashable ones too) give a fresh object that holds only
+    them and is never pooled, so the pool holds exactly four passages per
+    crossing id it met.  An id or sign that is no int is faulty, and gets
+    no pool hit either: ``True == 1 == 1.0`` and all hash alike, so a
+    pooled passage must not stand for them, nor they for it.  Assignment
+    raises ``FrozenInstanceError``."""
+
+    __slots__ = ("crossing", "strand", "sign", "over", "mark", "text", "negated", "changed")
 
     crossing: int
     strand: str  # OVER or UNDER
     sign: int  # +1 or -1
+    over: bool
+    mark: int  # 1 or 2
+    text: str
+    negated: Passage
+    changed: Passage
 
     def __new__(cls, crossing: int, strand: str, sign: int) -> Passage:
-        p = _POOL.get((crossing, strand, sign))
+        try:
+            p = _POOL.get((crossing, strand, sign))
+        except TypeError:  # an unhashable field, which is faulty
+            p = None
         # A hit for an equal id or sign that is no int is refused.  Small ints
         # and +-1 are shared objects, so the type is asked only of large ids.
-        if p is None or (p.sign is not sign and type(sign) is not int) \
-                or (p.crossing is not crossing and type(crossing) is not int):
-            p = object.__new__(cls)
-            object.__setattr__(p, "crossing", crossing)
-            object.__setattr__(p, "strand", strand)
-            object.__setattr__(p, "sign", sign)
-            if _passage_error(crossing, strand, sign) is None:
-                _POOL[crossing, strand, sign] = p
-                _POOLED.add(p)
+        if p is not None and (p.sign is sign or type(sign) is int) \
+                and (p.crossing is crossing or type(crossing) is int):
+            return p
+        if _passage_error(crossing, strand, sign) is None:
+            return _pool(crossing)[strand, sign]
+        p = object.__new__(cls)
+        for name, value in (("crossing", crossing), ("strand", strand), ("sign", sign)):
+            object.__setattr__(p, name, value)
         return p
 
     def __setattr__(self, name, value):
@@ -144,12 +171,29 @@ class Passage:
     def __repr__(self) -> str:
         return f"Passage(crossing={self.crossing!r}, strand={self.strand!r}, sign={self.sign!r})"
 
-    @property
-    def over(self) -> bool:
-        return self.strand == OVER
-
     def token(self) -> str:
-        return f"{self.strand}{self.crossing}{'+' if self.sign > 0 else '-'}"
+        return self.text
+
+
+def _pool(crossing: int) -> dict[tuple[str, int], Passage]:
+    """Pool the four passages of a valid crossing id, each with its derived
+    fields: ``(strand, sign)`` -> its passage."""
+    quartet = {}
+    for strand in (OVER, UNDER):
+        for sign in (1, -1):
+            p = object.__new__(Passage)
+            over = strand == OVER
+            for name, value in (("crossing", crossing), ("strand", strand), ("sign", sign),
+                                ("over", over), ("mark", 1 if (sign > 0) == over else 2),
+                                ("text", f"{strand}{crossing}{'+' if sign > 0 else '-'}")):
+                object.__setattr__(p, name, value)
+            quartet[strand, sign] = p
+    for (strand, sign), p in quartet.items():
+        object.__setattr__(p, "negated", quartet[strand, -sign])
+        object.__setattr__(p, "changed", quartet[UNDER if p.over else OVER, -sign])
+        _POOL[crossing, strand, sign] = p
+        _POOLED.add(p)
+    return quartet
 
 
 Component = tuple  # tuple[Passage, ...]
@@ -249,7 +293,7 @@ def _crossing_table(components: tuple[Component, ...]) -> dict:
             at = first.pop(p.crossing, None)
             if at is None:
                 first[p.crossing] = ci, pi
-            elif p.strand == OVER:
+            elif p.over:
                 table[p.crossing] = (ci, pi, *at, p.sign)
             else:
                 table[p.crossing] = (*at, ci, pi, p.sign)
@@ -341,31 +385,24 @@ def _write(components: tuple[Component, ...]) -> str:
             continue
         keys = [(p.strand, p.crossing) for p in comp]
         r = keys.index(min(keys))
-        parts.append("".join([f"{p.strand}{p.crossing}{'+' if p.sign > 0 else '-'}"
-                              for p in comp[r:] + comp[:r]]))
+        parts.append("".join([p.text for p in comp[r:] + comp[:r]]))
     return ";".join(parts)
 
 
 # -- symmetries --------------------------------------------------------
 
 
-def _flip(p: Passage) -> Passage:
-    return Passage(p.crossing, UNDER if p.over else OVER, -p.sign)
-
-
 def mirror(d: Diagram) -> Diagram:
     """Change every classical crossing: over/under swapped, signs negated."""
-    return Diagram._trusted(tuple(tuple(_flip(p) for p in comp) for comp in d.components))
+    return Diagram._trusted(tuple([tuple([p.changed for p in comp]) for comp in d.components]))
 
 
 def crossing_change(d: Diagram, crossing: int) -> Diagram:
     """Change a single classical crossing."""
     d.sign(crossing)  # raises on unknown id
     return Diagram._trusted(
-        tuple(
-            tuple(_flip(p) if p.crossing == crossing else p for p in comp)
-            for comp in d.components
-        )
+        tuple([tuple([p.changed if p.crossing == crossing else p for p in comp])
+               for comp in d.components])
     )
 
 
@@ -404,11 +441,8 @@ def _resign(comps, back) -> tuple:
     """``comps`` as a tuple of passage tuples, with every crossing that has
     exactly one passage in the reversed segments ``back`` flipped in sign."""
     flips = one_sided(back)
-    return tuple(
-        tuple(Passage(p.crossing, p.strand, -p.sign) if p.crossing in flips else p
-              for p in comp)
-        for comp in comps
-    )
+    return tuple([tuple([p.negated if p.crossing in flips else p for p in comp])
+                  for comp in comps])
 
 
 def rejoin(*loops) -> tuple:
@@ -476,18 +510,19 @@ def reorder_components(d: Diagram, perm: Iterable[int]) -> Diagram:
 
 
 _MARKS = "'+-"  # token mark of a second visit, a + first visit, a - first visit
-_LABELS: list[int] = [0]  # 0, 1, 2, ... in decimal text order: place -> label
-_RANK: list[int] = [0]  # label -> 3 * its place in _LABELS
+_RANK: list[int] = [0]  # label -> 3 * its place in decimal text order (0, 1, 10, 11, ..., 2)
+_TEXT: list[str] = ["0'", "0+", "0-"]  # token -> its text
 
 
-def _rank_table(n: int) -> tuple[list[int], list[int]]:
-    """``_RANK`` and ``_LABELS`` covering labels 0..n, grown on demand."""
+def _rank_table(n: int) -> tuple[list[int], list[str]]:
+    """``_RANK`` and ``_TEXT`` covering labels 0..n, grown on demand."""
     if len(_RANK) <= n:
-        _LABELS[:] = sorted(range(max(n + 1, 2 * len(_RANK))), key=str)
-        _RANK[:] = _LABELS
-        for place, label in enumerate(_LABELS):
+        labels = sorted(range(max(n + 1, 2 * len(_RANK))), key=str)
+        _RANK[:] = labels
+        for place, label in enumerate(labels):
             _RANK[label] = 3 * place
-    return _RANK, _LABELS
+        _TEXT[:] = [f"{label}{mark}" for label in labels for mark in _MARKS]
+    return _RANK, _TEXT
 
 
 def flat_key(d: Diagram) -> str:
@@ -500,10 +535,11 @@ def flat_key(d: Diagram) -> str:
 
     The key is the least, over all per-component rotations, of the flat
     text: crossings are relabeled 1, 2, ... in order of first visit; the
-    first visit is written ``<label>+`` or ``<label>-`` (the sign, negated
-    when that passage is the under one, which makes it crossing-change
-    invariant) and the second ``<label>'``; tokens are joined by ``.``,
-    components by ``;``, and a crossing-free component is ``0``.
+    first visit is written ``<label>+`` or ``<label>-`` (the passage's flat
+    mark, ``Passage.mark``: the sign, negated when that passage is the
+    under one, which makes it crossing-change invariant) and the second
+    ``<label>'``; tokens are joined by ``.``, components by ``;``, and a
+    crossing-free component is ``0``.
 
     Exact search, one component at a time.  A component of n passages has
     n tokens in every rotation, and a token ends at its one non-digit, so
@@ -523,54 +559,87 @@ def flat_key(d: Diagram) -> str:
     ``rank`` the place of a label in decimal text order (so ``10`` < ``2``),
     a second visit is ``3 * rank``, a ``+`` first visit ``3 * rank + 1``
     and a ``-`` one ``3 * rank + 2``: the order of the text tokens, since
-    ``'`` < ``+`` < ``-`` < digit.  The text is built once, from the
-    winning tokens.  The cost grows with the sum of the component lengths
-    and with the ties, not with the product of the lengths.
+    ``'`` < ``+`` < ``-`` < digit.  A state holds each label as the token
+    of its crossing's second visit, and every state holds the same
+    crossings: those met both before and after the component.  No
+    candidate keeps labels of its own: a passage whose partner lies ``b``
+    places back on the same component, with ``b`` no more than the tokens
+    read, repeats the label of the shared token ``b`` places back; any
+    other passage reads its state or takes the next free label.  The text
+    is joined once, from the winning tokens.  The cost grows with the sum
+    of the component lengths and with the ties, not with the product of
+    the lengths.
     """
-    last = {}  # crossing -> last component it meets
-    for ci, comp in enumerate(d.components):
-        for p in comp:
-            last[p.crossing] = ci
-    rank, labels = _rank_table(len(last) + 1)
-    states: list[dict[int, int]] = [{}]  # crossing -> label
+    comps = d.components
+    rank, text = _rank_table(d.n_crossings + 1)
+    states: list[dict[int, int]] = [{}]  # crossing -> the token of its second visit
     labelled = 0
     parts = []
-    for ci, comp in enumerate(d.components):
+    for ci, comp in enumerate(comps):
         n = len(comp)
         if not n:
             parts.append("0")
             continue
-        seq = [(p.crossing, 1 if (p.sign > 0) == (p.strand == OVER) else 2)
-               for p in comp] * 2
-        cands = [(r, dict(seen)) for seen in states for r in range(n)]
+        crossings = [p.crossing for p in comp]
+        back = [n] * n  # position -> places back to its partner on comp, else n
+        at: dict[int, int] = {}  # crossing -> its first position on comp
+        for j, c in enumerate(crossings):
+            q = at.setdefault(c, j)
+            if q != j:
+                back[j], back[q] = j - q, n - j + q
+        crossings *= 2
+        back *= 2
+        marks = [p.mark for p in comp] * 2
+        cands = [(state, r) for state in states for r in range(n)]
         toks: list[int] = []  # the survivors' common tokens
+        again: list[int] = []  # the second-visit token of each one's label
         k = 0
         while len(cands) > 1 and k < n:
-            fresh = labelled + 1
+            fresh = rank[labelled + 1]
             best, keep = 3 * len(rank), []  # above every token
             for cand in cands:
-                r, lab = cand
-                c, s = seq[r + k]
-                label = lab.setdefault(c, fresh)
-                tok = rank[label] + s if label == fresh else rank[label]
+                state, j = cand
+                j += k
+                b = back[j]
+                if b <= k:
+                    tok = again[k - b]
+                else:
+                    tok = state.get(crossings[j])
+                    if tok is None:
+                        tok = fresh + marks[j]
                 if tok < best:
                     best, keep = tok, [cand]
                 elif tok == best:
                     keep.append(cand)
             cands = keep
             toks.append(best)
+            again.append(best - best % 3)
             labelled += best % 3 > 0
             k += 1
-        r, lab = cands[0]
-        for c, s in seq[r + k:r + n]:
-            fresh = labelled + 1
-            label = lab.setdefault(c, fresh)
-            toks.append(rank[label] + s if label == fresh else rank[label])
-            labelled += label == fresh
-        parts.append(".".join([f"{labels[t // 3]}{_MARKS[t % 3]}" for t in toks]))
+        state, r = cands[0]
+        for j in range(r + k, r + n):
+            b = back[j]
+            if b <= j - r:
+                tok = again[j - r - b]
+            else:
+                tok = state.get(crossings[j])
+                if tok is None:
+                    labelled += 1
+                    tok = rank[labelled] + marks[j]
+            toks.append(tok)
+            again.append(tok - tok % 3)
+        parts.append(".".join([text[t] for t in toks]))
+        if ci + 1 == len(comps):
+            break
+        # A passage whose crossing meets a later component is a first visit
+        # in every rotation.
+        pending = states[0]
+        out = [j for j in range(n) if back[j] == n and crossings[j] not in pending]
         states = []
-        for _, lab in cands:
-            state = {c: x for c, x in lab.items() if last[c] > ci}
+        for state, r in cands:
+            state = {c: t for c, t in state.items() if c not in at}
+            for j in out:
+                state[crossings[j]] = again[(j - r) % n]
             if state not in states:
                 states.append(state)
     return ";".join(parts)

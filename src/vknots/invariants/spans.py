@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from ..diagram import OVER, Diagram, require_knot
+from ..diagram import Diagram, require_knot
 from ..errors import PreconditionError
 from ..labeling import type3_tables
 from ..laurent import LaurentPoly
@@ -83,7 +83,7 @@ def span_table(first: tuple, second: tuple) -> tuple:
     ``first`` passes over and minus its sign otherwise, and table is the
     writhe table of its type-3 smoothing, as a read-only view."""
     return tuple(
-        (p.sign if p.strand == OVER else -p.sign, MappingProxyType(totals))
+        (p.sign if p.over else -p.sign, MappingProxyType(totals))
         for p, totals in type3_tables(first, second)
     )
 

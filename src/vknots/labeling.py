@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .diagram import OVER, Diagram, one_sided, require_knot
+from .diagram import Diagram, one_sided, require_knot
 from .errors import InconsistentLabelingError
 from .memo import memo
 
@@ -131,7 +131,7 @@ def index_walk(fwd, back=()) -> list[tuple[int, int, int]]:
         for p in segment:
             c = p.crossing
             s = -p.sign if c in flips else p.sign
-            if p.strand == OVER:
+            if p.over:
                 v = label
                 label -= s
             else:
@@ -196,7 +196,7 @@ def type3_tables(first, second) -> list:
         prefix = [0]
         for p in comp:
             s = -p.sign if p.crossing in joins else p.sign
-            label += -s if p.strand == OVER else s
+            label += -s if p.over else s
             prefix.append(label)
         prefixes.append(prefix)
     # Each crossing's flipped sign and its passages' slots in first + second.
@@ -204,7 +204,7 @@ def type3_tables(first, second) -> list:
     for g, p in enumerate(first + second):
         end = ends.setdefault(p.crossing, [p.crossing, 0, 0, 0])
         end[1] = -p.sign if p.crossing in joins else p.sign
-        end[2 if p.strand == OVER else 3] = g
+        end[2 if p.over else 3] = g
     rows = sorted(ends.values())
     n1 = len(first)
     pre1, pre2 = prefixes

@@ -11,6 +11,11 @@ cuts or smoothings of any diagrams share them) and the rest.  Every table
 is in ``TABLES``: ``knot_rows``, ``type1_rows``, ``dwrithe``, ``span_table``,
 ``_knot_vector``, ``_canonical_fingerprint`` and ``_b_rows``.
 
+Keys are typed (``typed=True``): an argument's type is part of its key.
+``1 == 1.0 == True`` and all hash alike, so an untyped table would answer
+``b_sum(d, 1.0)`` or ``b_sum(d, True)`` with the entry of ``b_sum(d, 1)``
+and skip the check that refuses them, but only once that entry exists.
+
 How keys hash: a ``Diagram`` hashes its components once and keeps the
 value; a passage tuple is hashed on every lookup, but passages are interned
 (``diagram.Passage``) and hash by identity, in C, so that costs no Python
@@ -51,7 +56,7 @@ TABLES: list = []
 
 def memo(fn):
     """Memoise ``fn`` under the module's policy and register its table."""
-    table = lru_cache(maxsize=MAXSIZE)(fn)
+    table = lru_cache(maxsize=MAXSIZE, typed=True)(fn)
     live_info, live_clear = table.cache_info, table.cache_clear
     folded = [0, 0]  # hits and misses counted before the last clear
 

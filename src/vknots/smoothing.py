@@ -35,7 +35,7 @@ and the type-2 loops (``type2_components``) as passage tuples with
 
 from __future__ import annotations
 
-from .diagram import OVER, Diagram, rejoin, splice
+from .diagram import Diagram, rejoin, splice
 from .errors import PreconditionError
 
 __all__ = [
@@ -99,7 +99,7 @@ def type3_segments(first, i: int, second, j: int) -> tuple:
     crossing met at ``first[i]`` and ``second[j]`` (the passages of two
     components): the over passage's component after it, then the under
     passage's after it, so the under passage's component is reversed."""
-    if first[i].strand == OVER:
+    if first[i].over:
         return _after(first, i), _after(second, j)
     return _after(second, j), _after(first, i)
 

@@ -330,6 +330,23 @@ def test_invariant_non_ascii_or_underscored_parameters_exit_3(capsys, spec):
                                        "must be integers\n")
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--steps", "1_0", ("verify", "--steps", "1_0", "--seed", "1", "VTREF")),
+    ("--seed", "\u0661", ("verify", "--steps", "1", "--seed", "\u0661", "VTREF")),
+    ("--n", "\uff12", ("invariant", "--inv", "djn", "--n", "\uff12", "VTREF")),
+    ("--at", " 1", ("smooth", "--type", "1", "--at", " 1", "HOPF")),
+    ("--apply", "1 ", ("move", "--apply", "1 ", "VTREF")),
+    ("--depth", "0_1", ("distinguish", "--depth", "0_1", "KISHINO", "UNKNOT")),
+])
+def test_integer_flags_follow_the_inline_parameter_rule_exit_2(capsys, flag, value, argv):
+    """An integer flag is ``[+-]?[0-9]+``, like an inline parameter: what
+    ``int()`` alone would also read is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, flags", [
     ("jn(-2)", ["--inv", "jn", "--n", "-2"]),
     ("djnm(1,-1)", ["--inv", "djnm", "--n", "1", "--m", "-1"]),

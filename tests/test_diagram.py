@@ -128,15 +128,16 @@ def test_diagram_refuses_what_is_not_a_passage(bad):
         assert str(exc.value) == f"not a passage: {bad!r}"
 
 
-_CROSSINGS = (1, 2, True, False, 1.0, 3.0, 0, -1, "1", None)
-_STRANDS = ("O", "U", "X", "", 1, True, None)
-_SIGNS = (1, -1, True, False, 1.0, -1.0, 0, 2, "+", None)
+_CROSSINGS = (1, 2, True, False, 1.0, 3.0, 0, -1, "1", None, [1])
+_STRANDS = ("O", "U", "X", "", 1, True, None, ["O"])
+_SIGNS = (1, -1, True, False, 1.0, -1.0, 0, 2, "+", None, [1])
 
 
 def test_passage_rule_is_stated_once():
     """Over a grid of fields, a passage is pooled exactly when
     ``_passage_error`` finds no fault, and a one-crossing Diagram of those
-    fields raises exactly that fault."""
+    fields raises exactly that fault.  An unhashable field is a fault like
+    any other: no ``TypeError`` from the pool lookup."""
     for c in _CROSSINGS:
         for s in _STRANDS:
             for g in _SIGNS:
@@ -480,8 +481,8 @@ def test_passage_is_a_frozen_interned_record():
 
 
 def test_passage_pool_is_bounded():
-    """The pool keeps only passages a Diagram accepts: at most four per
-    crossing id, also after the catalog and a 200-step walk."""
+    """The pool keeps only passages a Diagram accepts: exactly the four of
+    each crossing id it met, also after the catalog and a 200-step walk."""
     for entry in builtin_catalog().values():
         entry.diagram()
     link = "O1-U3+U4-U5+O3+U11-U12+;O2+U2+O4-O5+U1-O11-O12+;0"
@@ -490,14 +491,37 @@ def test_passage_pool_is_bounded():
     Passage(0, "O", 1), Passage(1, "X", 1), Passage(1, "O", 2)  # never pooled
     keys = list(diagram_module._POOL)
     assert all(c >= 1 and s in "OU" and g in (1, -1) for c, s, g in keys)
-    assert len(keys) <= 4 * max(c for c, _, _ in keys)
+    assert set(collections.Counter(c for c, _, _ in keys).values()) == {4}
+
+
+_QUARTET = [(s, g) for s in "OU" for g in (1, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**40), st.permutations(_QUARTET))
+def test_pooled_passages_carry_their_derived_fields(c, order):
+    """Whichever passage of a crossing id is asked for first, in any order
+    (the id is mostly new to the pool, as ids are drawn up to 2**40), the
+    first call pools all four, and each carries its derived fields as
+    defined, with pooled passages as its twins."""
+    Passage(c, *order[0])
+    assert all((c, s, g) in diagram_module._POOL for s, g in _QUARTET)
+    for s, g in order:
+        p = Passage(c, s, g)
+        assert (p.crossing, p.strand, p.sign) == (c, s, g)
+        assert p.over is (s == "O")
+        assert p.mark == (1 if (g > 0) == (s == "O") else 2)
+        assert p.token() == p.text == f"{s}{c}{'+' if g > 0 else '-'}"
+        assert p.negated is Passage(c, s, -g) and p.negated.negated is p
+        assert p.changed is Passage(c, "U" if s == "O" else "O", -g)
+        assert p.changed.changed is p
+        assert p.changed.mark == p.mark and p.negated.mark == 3 - p.mark
 
 
 def test_a_large_crossing_id_is_pooled():
     """An id past any machine word is an int like any other: pooled,
-    accepted and queried.  The pool is process-wide and
-    ``test_passage_pool_is_bounded`` bounds it by its largest id, so this
-    runs in a fresh interpreter."""
+    accepted and queried.  The pool is process-wide, so this runs in a
+    fresh interpreter, where the id is sure to be new to it."""
     script = """
 from vknots import Diagram, Passage, serialize
 from vknots.diagram import _passage_error

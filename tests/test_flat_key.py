@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,6 +143,43 @@ def test_key_text_equals_oracle_past_label_9(seed, n_chords, n_components):
 @given(st.integers(0, 10_000))
 def test_key_text_equals_oracle_on_symmetric_diagrams_past_label_9(seed):
     d = mixed_diagram(seed, word_sizes=(6, 8))
+    for x in oracle_sized(with_type2_smoothings(d)):
+        assert flat_key(x) == oracle_text(x)
+
+
+def tied_link(seed: int) -> Diagram:
+    """A link of 3-4 components whose first component ties in every
+    rotation: it meets each of 10-12 crossings once, with flat mark ``+``
+    (over and positive, or under and negative), so every rotation reads
+    ``1+.2+...`` and leaves its own labels for the later components, which
+    hold the other passages, shuffled, and one self-crossing each."""
+    rng = random.Random(seed)
+    n, rest = rng.randint(10, 12), rng.randint(2, 3)
+    first, others = [], []
+    for cid in range(1, n + 1):
+        strand, sign = rng.choice((("O", 1), ("U", -1)))
+        first.append(Passage(cid, strand, sign))
+        others.append(Passage(cid, "U" if strand == "O" else "O", sign))
+    rng.shuffle(others)
+    comps = [tuple(first)]
+    cuts = sorted(rng.sample(range(1, n), rest - 1))
+    for k, (a, b) in enumerate(zip([0] + cuts, cuts + [n])):
+        cid, sign = n + 1 + k, rng.choice((1, -1))
+        comp = others[a:b] + [Passage(cid, "O", sign), Passage(cid, "U", sign)]
+        rng.shuffle(comp)
+        comps.append(tuple(comp))
+    return Diagram(tuple(comps))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_key_text_equals_oracle_on_tied_links_past_label_9(seed):
+    """Every rotation of the first component ties, so each later component
+    starts from as many states as that component has passages, with labels
+    past 9, where decimal text order (10 < 2) and number order differ."""
+    d = tied_link(seed)
+    assert 3 <= d.n_components <= 4 and d.n_crossings >= 10 and oracle_sized([d]) == [d]
+    first = d.components[0]
+    assert len({_flat_text([first[r:] + first[:r]], [0]) for r in range(len(first))}) == 1
     for x in oracle_sized(with_type2_smoothings(d)):
         assert flat_key(x) == oracle_text(x)
 

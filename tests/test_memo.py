@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots import Diagram, builtin_catalog, lookup, memo, parse
+from vknots import Diagram, PreconditionError, builtin_catalog, lookup, memo, parse
 from vknots.cli import _default_battery, main
 from vknots.invariants import comparable_invariant, dwrithe, fingerprint
 from vknots.invariants.fingerprint import _canonical_fingerprint, _knot_vector
-from vknots.invariants.flatsums import _b_rows
+from vknots.invariants.flatsums import _b_rows, b_sum
 from vknots.invariants.spans import span_table
 from vknots.invariants.writhes import type1_rows
 from vknots.labeling import index_map, knot_rows
@@ -33,6 +33,19 @@ def test_every_memoised_function_is_registered():
         _canonical_fingerprint, _b_rows,
     }
     assert {t.cache_info().maxsize for t in memo.TABLES} == {memo.MAXSIZE}
+    assert all(t.cache_parameters()["typed"] for t in memo.TABLES)
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_an_equal_argument_of_another_type_misses(kishino, bad):
+    """``1 == 1.0 == True`` and all hash alike, so an untyped table would
+    answer ``b_sum(d, 1.0)`` with the entry ``b_sum(d, 1)`` left, and skip
+    the check that refuses it on a fresh memo."""
+    memo.clear()
+    b_sum(kishino, 1)
+    with pytest.raises(PreconditionError) as exc:
+        b_sum(kishino, bad)
+    assert str(exc.value) == f"component index must be an integer, got {bad!r}"
 
 
 def _holds_list(value) -> bool:
